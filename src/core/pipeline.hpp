@@ -27,8 +27,8 @@ struct PipelineResult {
   RankEstimateResult rank_detail;
   std::vector<IssuedRecord> measurement_log;
   /// How gracefully the measurement campaign degraded under infrastructure
-  /// faults (inert numbers when no faults are injected) and under
-  /// cancellation / deadline expiry (the crash-safety fields).
+  /// faults (inert numbers when no faults are injected), plus the phases a
+  /// cancellation or deadline cut short.
   DegradationReport degradation;
 };
 

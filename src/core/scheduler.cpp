@@ -29,22 +29,7 @@ MeasurementScheduler::MeasurementScheduler(const MetroContext& ctx,
       cfg_(cfg),
       rng_(cfg.seed),
       fail_streak_(ctx.size(), 0),
-      given_up_(ctx.size(), false),
-      ctr_probes_launched_(util::telemetry::Registry::instance().counter(
-          "scheduler.probes_launched")),
-      ctr_probes_faulted_(util::telemetry::Registry::instance().counter(
-          "scheduler.probes_faulted")),
-      ctr_retries_(
-          util::telemetry::Registry::instance().counter("scheduler.retries")),
-      ctr_infra_failures_(util::telemetry::Registry::instance().counter(
-          "scheduler.infra_failures")),
-      ctr_requeues_(
-          util::telemetry::Registry::instance().counter("scheduler.requeues")),
-      base_probes_launched_(ctr_probes_launched_.value()),
-      base_probes_faulted_(ctr_probes_faulted_.value()),
-      base_retries_(ctr_retries_.value()),
-      base_infra_failures_(ctr_infra_failures_.value()),
-      base_requeues_(ctr_requeues_.value()) {
+      given_up_(ctx.size(), false) {
   MAC_REQUIRE(cfg.batch_size > 0, "batch_size=", cfg.batch_size);
   MAC_REQUIRE(cfg.epsilon >= 0.0 && cfg.epsilon <= 1.0,
               "epsilon=", cfg.epsilon);
@@ -137,13 +122,6 @@ void MeasurementScheduler::finish_campaign(int target) {
     if (given_up_[i]) ++degradation_.rows_given_up;
   }
   degradation_.fill_fraction = n == 0 ? 0.0 : fill / static_cast<double>(n);
-  // Counter fields: reads of the registry counters, minus this scheduler's
-  // construction-time baselines.  Exact because schedulers run sequentially.
-  degradation_.probes_launched = ctr_probes_launched_.value() - base_probes_launched_;
-  degradation_.probes_faulted = ctr_probes_faulted_.value() - base_probes_faulted_;
-  degradation_.retries = ctr_retries_.value() - base_retries_;
-  degradation_.infra_failures = ctr_infra_failures_.value() - base_infra_failures_;
-  degradation_.requeues = ctr_requeues_.value() - base_requeues_;
   // Quarantine/death are current measurement-system state, not cumulative
   // event counts -- they stay direct reads.
   degradation_.quarantined_vps = ms_->quarantined_vps();
@@ -372,17 +350,29 @@ std::size_t MeasurementScheduler::execute(const Pick& pick) {
   rec.spent = mac::checked_cast<int>(spent);
   history_.push_back(rec);
 
-  ctr_probes_launched_.add(mac::checked_cast<std::uint64_t>(out.launched));
-  ctr_probes_faulted_.add(mac::checked_cast<std::uint64_t>(out.faulted));
-  if (out.attempts > 1)
-    ctr_retries_.add(mac::checked_cast<std::uint64_t>(out.attempts - 1));
+  // The report owns the accounting; the registry counters mirror it.
+  const bool requeue = out.infra_failure && cfg_.resilient;
+  const auto launched = mac::checked_cast<std::size_t>(out.launched);
+  const auto faulted = mac::checked_cast<std::size_t>(out.faulted);
+  const auto retries =
+      mac::checked_cast<std::size_t>(std::max(0, out.attempts - 1));
+  const std::size_t infra = out.infra_failure ? 1 : 0;
+  const std::size_t requeued = requeue ? 1 : 0;
+  degradation_.probes_launched += launched;
+  degradation_.probes_faulted += faulted;
+  degradation_.retries += retries;
+  degradation_.infra_failures += infra;
+  degradation_.requeues += requeued;
+  MAC_COUNT_N("scheduler.probes_launched", launched);
+  MAC_COUNT_N("scheduler.probes_faulted", faulted);
+  MAC_COUNT_N("scheduler.retries", retries);
+  MAC_COUNT_N("scheduler.infra_failures", infra);
+  MAC_COUNT_N("scheduler.requeues", requeued);
 
   const std::uint64_t key = entry_key(pick.i, pick.j, ctx_->size());
-  if (out.infra_failure && cfg_.resilient) {
+  if (requeue) {
     // The infrastructure, not the strategy, failed: requeue the entry with
     // exponential backoff and leave fail_streak / P_m untouched.
-    ctr_infra_failures_.add();
-    ctr_requeues_.add();
     auto& [retry_at, fails] = requeued_[key];
     int doublings = std::min(fails, 7);
     ++fails;
@@ -393,7 +383,6 @@ std::size_t MeasurementScheduler::execute(const Pick& pick) {
                    mac::checked_cast<std::uint64_t>(cfg_.requeue_backoff_cap));
     return spent;
   }
-  if (out.infra_failure) ctr_infra_failures_.add();
   if (!requeued_.empty()) requeued_.erase(key);
 
   pm_->record(pick.i, pick.j, choice, out.informative);
@@ -477,28 +466,7 @@ void MeasurementScheduler::save(util::checkpoint::Encoder& enc) const {
     enc.i32(fails);
   }
 
-  // Registry counters: persist this scheduler's *deltas*.  On load the
-  // baselines become current-value minus delta (mod 2^64), so the
-  // value-minus-baseline report stays exact in a fresh process whose
-  // counters restart at zero.
-  enc.u64(ctr_probes_launched_.value() - base_probes_launched_);
-  enc.u64(ctr_probes_faulted_.value() - base_probes_faulted_);
-  enc.u64(ctr_retries_.value() - base_retries_);
-  enc.u64(ctr_infra_failures_.value() - base_infra_failures_);
-  enc.u64(ctr_requeues_.value() - base_requeues_);
-
-  enc.i32(degradation_.fill_target);
-  enc.u64(degradation_.rows);
-  enc.u64(degradation_.rows_at_target);
-  enc.u64(degradation_.rows_given_up);
-  enc.f64(degradation_.fill_fraction);
-  enc.u64(degradation_.probes_launched);
-  enc.u64(degradation_.probes_faulted);
-  enc.u64(degradation_.retries);
-  enc.u64(degradation_.infra_failures);
-  enc.u64(degradation_.requeues);
-  enc.u64(degradation_.quarantined_vps);
-  enc.u64(degradation_.dead_vps);
+  degradation_.save(enc);
 }
 
 void MeasurementScheduler::load(util::checkpoint::Decoder& dec) {
@@ -551,27 +519,39 @@ void MeasurementScheduler::load(util::checkpoint::Decoder& dec) {
     fails = dec.i32();
   }
 
-  // Re-anchor the counter baselines so value() - base reproduces the saved
-  // deltas (unsigned arithmetic keeps this correct even when the fresh
-  // process's counters are below the saved deltas).
-  base_probes_launched_ = ctr_probes_launched_.value() - dec.u64();
-  base_probes_faulted_ = ctr_probes_faulted_.value() - dec.u64();
-  base_retries_ = ctr_retries_.value() - dec.u64();
-  base_infra_failures_ = ctr_infra_failures_.value() - dec.u64();
-  base_requeues_ = ctr_requeues_.value() - dec.u64();
+  degradation_.load(dec);
+}
 
-  degradation_.fill_target = dec.i32();
-  degradation_.rows = dec.u64();
-  degradation_.rows_at_target = dec.u64();
-  degradation_.rows_given_up = dec.u64();
-  degradation_.fill_fraction = dec.f64();
-  degradation_.probes_launched = dec.u64();
-  degradation_.probes_faulted = dec.u64();
-  degradation_.retries = dec.u64();
-  degradation_.infra_failures = dec.u64();
-  degradation_.requeues = dec.u64();
-  degradation_.quarantined_vps = dec.u64();
-  degradation_.dead_vps = dec.u64();
+void DegradationReport::save(util::checkpoint::Encoder& enc) const {
+  enc.i32(fill_target);
+  enc.u64(rows);
+  enc.u64(rows_at_target);
+  enc.u64(rows_given_up);
+  enc.f64(fill_fraction);
+  enc.u64(probes_launched);
+  enc.u64(probes_faulted);
+  enc.u64(retries);
+  enc.u64(infra_failures);
+  enc.u64(requeues);
+  enc.u64(quarantined_vps);
+  enc.u64(dead_vps);
+  enc.u64(phases_truncated);
+}
+
+void DegradationReport::load(util::checkpoint::Decoder& dec) {
+  fill_target = dec.i32();
+  rows = dec.u64();
+  rows_at_target = dec.u64();
+  rows_given_up = dec.u64();
+  fill_fraction = dec.f64();
+  probes_launched = dec.u64();
+  probes_faulted = dec.u64();
+  retries = dec.u64();
+  infra_failures = dec.u64();
+  requeues = dec.u64();
+  quarantined_vps = dec.u64();
+  dead_vps = dec.u64();
+  phases_truncated = dec.u64();
 }
 
 }  // namespace metas::core

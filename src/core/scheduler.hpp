@@ -15,7 +15,6 @@
 #include "core/measurement_system.hpp"
 #include "core/probability.hpp"
 #include "util/cancel.hpp"
-#include "util/telemetry.hpp"
 
 namespace metas::core {
 
@@ -70,11 +69,10 @@ struct BatchResult {
 
 /// Graceful-degradation summary of a measurement campaign at one metro:
 /// what fill was achieved against the target, and what the infrastructure
-/// cost along the way.  Counters accumulate over the scheduler's lifetime;
-/// fill statistics describe the most recent fill_rows_to call.  The counter
-/// fields are materialized from the process-wide telemetry registry
-/// (`scheduler.*` counters) when a campaign finishes -- the registry is the
-/// single source of truth for this accounting (DESIGN.md §8).
+/// cost along the way.  Counters accumulate over the scheduler's lifetime
+/// and count only this scheduler's probes; fill statistics describe the
+/// most recent fill_rows_to call.  The scheduler owns these numbers; the
+/// `scheduler.*` telemetry counters mirror them (DESIGN.md §8).
 struct DegradationReport {
   int fill_target = 0;             // per-row target of the last campaign
   std::size_t rows = 0;
@@ -88,15 +86,12 @@ struct DegradationReport {
   std::size_t requeues = 0;        // entries sent back with backoff
   std::size_t quarantined_vps = 0; // VPs sidelined when the campaign ended
   std::size_t dead_vps = 0;        // permanently churned VPs
+  /// Pipeline phases a cancellation or deadline stopped early (filled in by
+  /// the pipeline, not the scheduler; 0 on an uninterrupted run).
+  std::size_t phases_truncated = 0;
 
-  // Crash-safety accounting (filled in by the pipeline, not the scheduler):
-  // how the run was cut short and what was preserved.  All fields stay at
-  // their defaults on an uninterrupted run without checkpoint/deadline flags.
-  std::size_t phases_truncated = 0;   // pipeline phases stopped early
-  bool cancelled = false;             // CancelToken tripped (SIGINT/SIGTERM)
-  bool deadline_expired = false;      // --deadline-ms budget exhausted
-  std::uint64_t budget_consumed_ms = 0;  // wall time consumed of the budget
-  std::size_t checkpoints_written = 0;   // snapshots persisted during run()
+  void save(util::checkpoint::Encoder& enc) const;
+  void load(util::checkpoint::Decoder& dec);
 };
 
 class MeasurementScheduler {
@@ -129,7 +124,7 @@ class MeasurementScheduler {
   /// Checkpoint serialization of all mutable scheduler state: the RNG
   /// stream, the issued-measurement log, per-row fail/give-up state, the
   /// exploration/greedy/random bookkeeping, the backoff queue and the
-  /// degradation counters (as deltas against the construction baselines).
+  /// degradation report.
   void save(util::checkpoint::Encoder& enc) const;
   void load(util::checkpoint::Decoder& dec);
 
@@ -161,21 +156,6 @@ class MeasurementScheduler {
   std::vector<std::pair<double, std::uint64_t>> greedy_order_;  // lazy, desc
   std::size_t greedy_cursor_ = 0;
   std::unordered_set<std::uint64_t> attempted_;  // greedy/random de-dup
-
-  // Degradation accounting lives in registry-owned counters (product
-  // behaviour: built in telemetry-disabled configurations too).  Baselines
-  // captured at construction make the per-scheduler report exact when
-  // several schedulers run in one process.
-  util::telemetry::Counter& ctr_probes_launched_;  // lint: allow(view-member) -- registry-owned counter; the process-lifetime registry outlives any scheduler
-  util::telemetry::Counter& ctr_probes_faulted_;  // lint: allow(view-member) -- registry-owned counter; the process-lifetime registry outlives any scheduler
-  util::telemetry::Counter& ctr_retries_;  // lint: allow(view-member) -- registry-owned counter; the process-lifetime registry outlives any scheduler
-  util::telemetry::Counter& ctr_infra_failures_;  // lint: allow(view-member) -- registry-owned counter; the process-lifetime registry outlives any scheduler
-  util::telemetry::Counter& ctr_requeues_;  // lint: allow(view-member) -- registry-owned counter; the process-lifetime registry outlives any scheduler
-  std::uint64_t base_probes_launched_ = 0;
-  std::uint64_t base_probes_faulted_ = 0;
-  std::uint64_t base_retries_ = 0;
-  std::uint64_t base_infra_failures_ = 0;
-  std::uint64_t base_requeues_ = 0;
 
   DegradationReport degradation_;
   std::uint64_t sched_tick_ = 0;  // one per batch slot processed

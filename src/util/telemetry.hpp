@@ -29,10 +29,9 @@
 // macro below expands to nothing -- arguments unevaluated, no registry
 // lookups, no clock reads -- so the zero-overhead claim is checkable rather
 // than asserted (tests/telemetry_disabled_test.cpp).  The registry core
-// itself stays linkable in disabled builds because the scheduler's
-// DegradationReport accounting is backed by named counters (product
-// behaviour, not instrumentation); those direct Counter uses replace the
-// former hand-maintained struct increments one for one.
+// itself stays linkable in disabled builds (the CLI's --telemetry sink
+// still exports it).  Program state never reads the registry: counters
+// such as scheduler.* mirror numbers their owners keep themselves.
 #pragma once
 
 #include <array>
@@ -246,7 +245,7 @@ bool write_snapshot(const std::string& path, Format format);
 // Instrumentation macros.  These -- and only these -- are subject to the
 // compile-time kill switch: with METASCRITIC_TELEMETRY_ENABLED=0 they expand
 // to nothing (arguments typecheck inside an unevaluated sizeof but never
-// run).  Direct Registry/Counter uses (DegradationReport accounting) remain.
+// run).
 // ---------------------------------------------------------------------------
 
 #if METASCRITIC_TELEMETRY_ENABLED

@@ -2,8 +2,9 @@
 // binary, kills it with SIGKILL at seeded checkpoint boundaries via the
 // --crash-after-checkpoints hook, resumes from the snapshot, and asserts the
 // exported CSVs are byte-identical to an uninterrupted run with the same
-// flags.  Also covers fingerprint rejection and corrupted-checkpoint
-// fallback through the CLI surface.
+// flags.  Also covers fingerprint rejection, corrupted-checkpoint
+// fallback, malformed numeric flags and failed exports through the CLI
+// surface.
 //
 // The CLI path is injected by CMake as METAS_CLI_PATH (see
 // tests/CMakeLists.txt); every child runs via fork/exec with stdout/stderr
@@ -330,6 +331,39 @@ TEST_F(CrashRecoveryTest, SigtermStopsGracefullyWithResumableCheckpoint) {
   if (log.find("stopped early") != std::string::npos) {
     EXPECT_NE(log.find("cancelled by signal"), std::string::npos) << log;
     EXPECT_NE(log.find("resume with:"), std::string::npos) << log;
+  }
+}
+
+TEST_F(CrashRecoveryTest, MalformedNumericFlagsPrintUsageAndExit2) {
+  const std::vector<std::vector<std::string>> bad = {
+      {"--seed", "abc"},           {"--seed", "-1"},
+      {"--seed", "18446744073709551616"},
+      {"--deadline-ms", "5s"},     {"--deadline-ms", ""},
+      {"--keep-checkpoints", "99999999999"},
+      {"--keep-checkpoints", "0"}, {"--threshold", "0.5x"},
+      {"--threshold", "2"},        {"--trace-buffer-events", "0"},
+      {"--crash-after-checkpoints", "1e3"}, {"--seed"}};
+  for (const std::vector<std::string>& flag : bad) {
+    fs::remove(path("cli.log"));
+    auto args = base_args("out");
+    args.insert(args.end(), flag.begin(), flag.end());
+    const RunResult r = run_cli(args);
+    const std::string shown = flag.front() + " '" + flag.back() + "'";
+    EXPECT_EQ(r.exit_code, 2) << shown << '\n' << r.log;
+    EXPECT_NE(r.log.find("usage:"), std::string::npos) << shown;
+  }
+  EXPECT_FALSE(fs::exists(path("out"))) << "a rejected command line ran";
+}
+
+TEST_F(CrashRecoveryTest, FailedCsvExportExits1) {
+  for (const std::string kind : {"links", "ratings", "measurements"}) {
+    fs::remove_all(path("out"));
+    // A directory where the CSV belongs makes its atomic publish fail.
+    const std::string csv = path("out") + "/Amsterdam_" + kind + ".csv";
+    fs::create_directories(csv);
+    const RunResult r = run_cli(base_args("out"));
+    EXPECT_EQ(r.exit_code, 1) << kind << '\n' << r.log;
+    EXPECT_NE(r.log.find("cannot write " + csv), std::string::npos) << r.log;
   }
 }
 

@@ -127,5 +127,34 @@ TEST_F(SchedulerTest, MeasurementsImproveCoverage) {
   EXPECT_GE(after.total_filled(), before.total_filled());
 }
 
+TEST_F(SchedulerTest, InterleavedSchedulersEachCountOnlyTheirOwnProbes) {
+  // Two schedulers alive at once on one measurement plane: each report must
+  // match its own measurement log, whatever the other one launched.
+  auto& w = testing::shared_world();
+  ASSERT_GE(w.focus_metros.size(), 2u);
+  MetroContext ctx_b(w.net, w.focus_metros[1]);
+  ProbabilityMatrix pm_b(ctx_b, *w.ms, nullptr);
+  MeasurementScheduler a(*ctx_, *w.ms, *pm_,
+                         cfg_with(SelectionPolicy::kMetascritic, 30));
+  MeasurementScheduler b(ctx_b, *w.ms, pm_b,
+                         cfg_with(SelectionPolicy::kMetascritic, 30));
+  for (int target : {6, 8}) {
+    a.fill_rows_to(target, 120);
+    b.fill_rows_to(target, 120);
+  }
+  for (const MeasurementScheduler* s : {&a, &b}) {
+    std::size_t launched = 0, faulted = 0, retries = 0;
+    for (const IssuedRecord& rec : s->history()) {
+      launched += static_cast<std::size_t>(rec.launched);
+      faulted += static_cast<std::size_t>(rec.faulted);
+      retries += static_cast<std::size_t>(std::max(0, rec.attempts - 1));
+    }
+    EXPECT_GT(launched, 0u);
+    EXPECT_EQ(s->degradation().probes_launched, launched);
+    EXPECT_EQ(s->degradation().probes_faulted, faulted);
+    EXPECT_EQ(s->degradation().retries, retries);
+  }
+}
+
 }  // namespace
 }  // namespace metas::core

@@ -312,8 +312,7 @@ TEST(TelemetryPipelineCoverage, NamespacesAndPhaseSpans) {
       EXPECT_EQ(s.parent, run_node);
     }
 
-  // The degradation unification: scheduler.* counters are the same numbers
-  // the DegradationReport carries.
+  // The scheduler.* counters mirror the DegradationReport's probe counts.
   EXPECT_GE(reg.counter("scheduler.probes_launched").value(), 1u);
 }
 

@@ -8,6 +8,8 @@ crash-injection tests the same way as the static-analysis gates:
                             rejection, atomic-write failure paths
   * CrashRecoveryTest.*  -- fork/exec the real CLI, SIGKILL at checkpoint
                             boundaries, resume, byte-compare exports
+  * CampaignTest.*       -- the same cancel/resume cycle in process,
+                            through eval::run_campaign
 
 Needs a configured build tree (default: build/, override with --build-dir)
 whose test binaries are current.  Without one -- or without ctest on PATH --
@@ -27,7 +29,7 @@ import subprocess
 import sys
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
-SUITE_REGEX = "CheckpointTest|CrashRecoveryTest"
+SUITE_REGEX = "CheckpointTest|CrashRecoveryTest|CampaignTest"
 
 
 def main() -> int:

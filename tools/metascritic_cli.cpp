@@ -9,41 +9,35 @@
 //                   [--checkpoint PATH] [--resume PATH] [--deadline-ms N]
 //                   [--trace PATH] [--trace-buffer-events N]
 //
-// Writes per-metro <out>/<metro>_links.csv, <metro>_ratings.csv, and
-// <metro>_measurements.csv, and prints a summary table. With a non-trivial
-// fault profile the summary also reports how the measurement plane degraded
-// (row fill achieved, probes lost to faults, retries, quarantined VPs).
-// With --telemetry PATH a snapshot of the process-wide metrics registry
-// (counters, gauges, histograms, span tree; see DESIGN.md §8) is written
-// after the run in JSON (default) or flat CSV.
+// The campaign itself -- metro loop, per-metro <out>/<metro>_{links,ratings,
+// measurements}.csv exports, checkpoints, resume -- is eval::run_campaign
+// (src/eval/campaign.hpp).  This tool parses flags, turns SIGINT/SIGTERM
+// into a cooperative stop, and prints the summary table (plus, under a
+// fault profile, how the measurement plane degraded).
+//
+// --telemetry PATH writes a snapshot of the process-wide metrics registry
+// (DESIGN.md §8) after the run, in JSON (default) or flat CSV.
 //
 // Crash safety (DESIGN.md §12): --checkpoint persists a resumable snapshot
 // at every rank boundary and metro completion; --resume continues a killed
-// or cancelled run from the newest good snapshot, producing exports
-// byte-identical to an uninterrupted run with the same flags.  SIGINT /
-// SIGTERM and --deadline-ms stop cooperatively: the current work unit
-// finishes, a final checkpoint is written, and best-so-far results plus a
-// degradation table are emitted instead of a dead process.
+// or cancelled run, byte-identical to an uninterrupted one.  SIGINT/SIGTERM
+// and --deadline-ms stop cooperatively with best-so-far results.
 //
-// Tracing (DESIGN.md §13): --trace PATH arms the per-thread ring-buffer
-// flight recorder and writes a Chrome trace-event / Perfetto-compatible
-// JSON timeline (span begin/end, instants, counter samples) at the end of
-// the run; --trace-buffer-events N bounds the per-thread ring (oldest
-// events drop first, counted in the trace header).  While tracing is armed
-// every successful checkpoint write also dumps the ring next to the
-// checkpoint (<checkpoint>.trace.json), so a killed or cancelled run
-// leaves a timeline of its final moments.
+// Tracing (DESIGN.md §13): --trace PATH arms the flight recorder and writes
+// a Chrome trace-event / Perfetto JSON timeline at the end of the run;
+// --trace-buffer-events N bounds each thread's ring.  While tracing is
+// armed every checkpoint also dumps the ring to <checkpoint>.trace.json.
+//
+// Malformed or out-of-range flag values print usage and exit 2; a failed
+// run (unknown metro, unusable checkpoint, failed export) exits 1.
+#include <charconv>
 #include <csignal>
-#include <filesystem>
+#include <cstring>
 #include <iostream>
-#include <sstream>
+#include <limits>
 #include <string>
 
-#include "eval/export.hpp"
-#include "eval/metrics.hpp"
-#include "eval/world.hpp"
-#include "util/cancel.hpp"
-#include "util/checkpoint.hpp"
+#include "eval/campaign.hpp"
 #include "util/table.hpp"
 #include "util/telemetry.hpp"
 #include "util/trace.hpp"
@@ -66,75 +60,19 @@ void install_signal_handlers() {
 }
 
 struct CliOptions {
-  std::uint64_t seed = 42;
-  std::string metro;       // empty = first focus metro
-  bool all_metros = false;
-  std::string scale = "small";
-  double threshold = -2.0;  // -2 = auto (pipeline's F-max lambda)
-  std::string out_dir = "metascritic_out";
+  metas::eval::CampaignConfig campaign;
   bool quiet = false;
-  metas::traceroute::FaultProfile faults;  // default: none (inert)
-  bool resilience = true;
   std::string telemetry_path;  // empty = no snapshot
   metas::util::telemetry::Format telemetry_format =
       metas::util::telemetry::Format::kJson;
-  std::string checkpoint_path;  // empty = no checkpointing
-  std::string resume_path;      // empty = fresh run
-  std::string trace_path;       // empty = no tracing
+  std::string trace_path;  // empty = no tracing
   std::size_t trace_buffer_events =
       metas::util::trace::kDefaultBufferEvents;
   std::uint64_t deadline_ms = 0;  // 0 = no deadline
-  int keep_checkpoints = 3;
   // Test hook for the crash-injection suite: SIGKILL this process right
   // after the Nth checkpoint file hits disk, so the "crash" lands exactly
   // on a checkpoint boundary.  0 disables.
   int crash_after_checkpoints = 0;
-};
-
-/// One completed metro's summary numbers, kept as raw values (not table
-/// rows) so they serialize into checkpoints and survive a resume.
-struct MetroSummary {
-  std::string name;
-  std::size_t ases = 0;
-  int rank = 0;
-  std::size_t traces = 0;
-  double lambda = 0.0;
-  std::size_t links = 0;
-  double fill_fraction = 0.0;
-  std::size_t probes_faulted = 0;
-  std::size_t retries = 0;
-  std::size_t requeues = 0;
-  std::size_t quarantined = 0;
-  std::size_t dead = 0;
-
-  void save(metas::util::checkpoint::Encoder& enc) const {
-    enc.str(name);
-    enc.u64(ases);
-    enc.i32(rank);
-    enc.u64(traces);
-    enc.f64(lambda);
-    enc.u64(links);
-    enc.f64(fill_fraction);
-    enc.u64(probes_faulted);
-    enc.u64(retries);
-    enc.u64(requeues);
-    enc.u64(quarantined);
-    enc.u64(dead);
-  }
-  void load(metas::util::checkpoint::Decoder& dec) {
-    name = dec.str();
-    ases = dec.u64();
-    rank = dec.i32();
-    traces = dec.u64();
-    lambda = dec.f64();
-    links = dec.u64();
-    fill_fraction = dec.f64();
-    probes_faulted = dec.u64();
-    retries = dec.u64();
-    requeues = dec.u64();
-    quarantined = dec.u64();
-    dead = dec.u64();
-  }
 };
 
 void usage() {
@@ -149,235 +87,117 @@ void usage() {
       "                       [--trace PATH] [--trace-buffer-events N]\n";
 }
 
+/// Parses all of `v` as a number in [lo, hi]; false on a missing value,
+/// trailing characters or an out-of-range value.
+template <typename T>
+bool parse_number(const char* v, T lo, T hi, T& out) {
+  if (v == nullptr) return false;
+  const char* end = v + std::strlen(v);
+  T x{};
+  const auto [ptr, ec] = std::from_chars(v, end, x);
+  if (ec != std::errc() || ptr != end || !(x >= lo && x <= hi)) return false;
+  out = x;
+  return true;
+}
+
+template <typename T>
+bool parse_number(const char* v, T lo, T& out) {
+  return parse_number(v, lo, std::numeric_limits<T>::max(), out);
+}
+
 bool parse_args(int argc, char** argv, CliOptions& opt) {
+  metas::eval::CampaignConfig& c = opt.campaign;
   for (int k = 1; k < argc; ++k) {
-    std::string arg = argv[k];
-    auto next = [&]() -> const char* {
+    const std::string arg = argv[k];
+    // The flag's value; null when the command line ends first.
+    auto value = [&]() -> const char* {
       return k + 1 < argc ? argv[++k] : nullptr;
     };
+    auto text = [&](std::string& out) {
+      const char* v = value();
+      if (v != nullptr) out = v;
+      return v != nullptr;
+    };
+    bool ok = true;
     if (arg == "--seed") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      opt.seed = std::strtoull(v, nullptr, 10);
+      ok = parse_number(value(), std::uint64_t{0}, c.seed);
     } else if (arg == "--metro") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      opt.metro = v;
+      ok = text(c.metro);
     } else if (arg == "--all-metros") {
-      opt.all_metros = true;
+      c.all_metros = true;
     } else if (arg == "--scale") {
-      const char* v = next();
-      if (v == nullptr || (std::string(v) != "small" && std::string(v) != "paper"))
-        return false;
-      opt.scale = v;
+      ok = text(c.scale) && (c.scale == "small" || c.scale == "paper");
     } else if (arg == "--threshold") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      if (std::string(v) != "auto") opt.threshold = std::strtod(v, nullptr);
+      std::string t;
+      double lambda = 0.0;
+      ok = text(t) &&
+           (t == "auto" || parse_number(t.c_str(), -1.0, 1.0, lambda));
+      c.threshold.reset();
+      if (t != "auto") c.threshold = lambda;
     } else if (arg == "--out") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      opt.out_dir = v;
+      ok = text(c.out_dir);
     } else if (arg == "--fault-profile") {
-      const char* v = next();
-      if (v == nullptr || !metas::traceroute::parse_fault_profile(v, opt.faults))
-        return false;
+      std::string profile;
+      ok = text(profile) &&
+           metas::traceroute::parse_fault_profile(profile, c.faults);
     } else if (arg == "--telemetry") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      opt.telemetry_path = v;
+      ok = text(opt.telemetry_path);
     } else if (arg == "--telemetry-format") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      std::string fmt = v;
-      if (fmt == "json")
-        opt.telemetry_format = metas::util::telemetry::Format::kJson;
-      else if (fmt == "csv")
-        opt.telemetry_format = metas::util::telemetry::Format::kCsv;
-      else
-        return false;
+      std::string fmt;
+      ok = text(fmt) && (fmt == "json" || fmt == "csv");
+      using metas::util::telemetry::Format;
+      opt.telemetry_format = fmt == "csv" ? Format::kCsv : Format::kJson;
     } else if (arg == "--checkpoint") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      opt.checkpoint_path = v;
+      ok = text(c.checkpoint_path);
     } else if (arg == "--resume") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      opt.resume_path = v;
+      ok = text(c.resume_path);
     } else if (arg == "--trace") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      opt.trace_path = v;
+      ok = text(opt.trace_path);
     } else if (arg == "--trace-buffer-events") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      opt.trace_buffer_events = std::strtoull(v, nullptr, 10);
-      if (opt.trace_buffer_events == 0) return false;
+      ok = parse_number(value(), std::size_t{1}, opt.trace_buffer_events);
     } else if (arg == "--deadline-ms") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      opt.deadline_ms = std::strtoull(v, nullptr, 10);
+      ok = parse_number(value(), std::uint64_t{0}, opt.deadline_ms);
     } else if (arg == "--keep-checkpoints") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      opt.keep_checkpoints = static_cast<int>(std::strtol(v, nullptr, 10));
-      if (opt.keep_checkpoints < 1) return false;
+      ok = parse_number(value(), 1, c.keep_checkpoints);
     } else if (arg == "--crash-after-checkpoints") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      opt.crash_after_checkpoints = static_cast<int>(std::strtol(v, nullptr, 10));
+      ok = parse_number(value(), 0, opt.crash_after_checkpoints);
     } else if (arg == "--no-resilience") {
-      opt.resilience = false;
+      c.resilience = false;
     } else if (arg == "--quiet") {
       opt.quiet = true;
     } else {
-      return false;
+      ok = false;
     }
+    if (!ok) return false;
   }
   // --resume implies continued checkpointing to the same file.
-  if (!opt.resume_path.empty() && opt.checkpoint_path.empty())
-    opt.checkpoint_path = opt.resume_path;
+  if (!c.resume_path.empty() && c.checkpoint_path.empty())
+    c.checkpoint_path = c.resume_path;
   return true;
 }
 
-/// Everything that pins the deterministic trajectory of a run.  A resume
-/// with a different fingerprint would silently diverge, so it is rejected.
-void save_fingerprint(metas::util::checkpoint::Encoder& enc,
-                      const CliOptions& opt) {
-  enc.u64(opt.seed);
-  enc.str(opt.scale);
-  enc.b(opt.all_metros);
-  enc.str(opt.metro);
-  enc.b(opt.resilience);
-  const metas::traceroute::FaultProfile& f = opt.faults;
-  enc.f64(f.outage_start);
-  enc.f64(f.outage_end);
-  enc.f64(f.death);
-  enc.f64(f.loss);
-  enc.f64(f.bucket_capacity);
-  enc.f64(f.bucket_refill);
-  enc.f64(f.incident_start);
-  enc.f64(f.incident_end);
-  enc.u64(f.seed);
-}
-
-bool fingerprint_matches(metas::util::checkpoint::Decoder& dec,
-                         const CliOptions& opt) {
-  metas::util::checkpoint::Encoder expect;
-  save_fingerprint(expect, opt);
-  metas::util::checkpoint::Encoder got;
-  got.u64(dec.u64());
-  got.str(dec.str());
-  got.b(dec.b());
-  got.str(dec.str());
-  got.b(dec.b());
-  for (int k = 0; k < 8; ++k) got.f64(dec.f64());
-  got.u64(dec.u64());
-  return got.data() == expect.data();
-}
-
-/// Mutable run state that crosses metro boundaries and must survive a
-/// crash: the hierarchical priors, completed-metro summaries, the next
-/// metro index, and the shared measurement plane.
-struct RunState {
-  std::vector<MetroSummary> completed;
-  metas::core::StrategyPriors priors;
-  std::size_t next_metro = 0;
-  std::string phase_blob;  // in-progress pipeline state; empty = none
-};
-
-void save_run_state(metas::util::checkpoint::Encoder& enc,
-                    const CliOptions& opt, const RunState& rs,
-                    const metas::eval::World& world) {
-  save_fingerprint(enc, opt);
-  enc.u64(rs.completed.size());
-  for (const MetroSummary& m : rs.completed) m.save(enc);
-  rs.priors.save(enc);
-  enc.u64(rs.next_metro);
-  world.ms->save(enc);
-  world.engine->save(enc);
-  enc.b(world.faults != nullptr);
-  if (world.faults != nullptr) world.faults->save(enc);
-  enc.b(!rs.phase_blob.empty());
-  if (!rs.phase_blob.empty()) enc.str(rs.phase_blob);
-}
-
-bool load_run_state(metas::util::checkpoint::Decoder& dec,
-                    const CliOptions& opt, RunState& rs,
-                    metas::eval::World& world, std::string* error) {
-  if (!fingerprint_matches(dec, opt)) {
-    *error = "checkpoint was produced by a run with different "
-             "seed/scale/metro/fault/resilience flags";
-    return false;
+void print_tables(const CliOptions& opt,
+                  const std::vector<metas::eval::MetroSummary>& completed) {
+  using metas::util::Table;
+  Table summary({"metro", "ASes", "rank", "traces", "lambda", "links out"});
+  Table degraded({"metro", "row fill", "faulted", "retries", "requeues",
+                  "quarantined", "dead VPs"});
+  for (const metas::eval::MetroSummary& m : completed) {
+    summary.add_row({m.name, Table::fmt(m.ases), Table::fmt(m.rank),
+                     Table::fmt(m.traces), Table::fmt(m.lambda, 2),
+                     Table::fmt(m.links)});
+    const metas::core::DegradationReport& d = m.degradation;
+    degraded.add_row({m.name, Table::fmt(d.fill_fraction, 3),
+                      Table::fmt(d.probes_faulted), Table::fmt(d.retries),
+                      Table::fmt(d.requeues), Table::fmt(d.quarantined_vps),
+                      Table::fmt(d.dead_vps)});
   }
-  rs.completed.assign(dec.u64(), {});
-  for (MetroSummary& m : rs.completed) m.load(dec);
-  rs.priors.load(dec);
-  rs.next_metro = dec.u64();
-  world.ms->load(dec);
-  world.engine->load(dec);
-  const bool has_faults = dec.b();
-  if (has_faults != (world.faults != nullptr)) {
-    *error = "checkpoint fault-injector presence does not match the profile";
-    return false;
+  summary.print(std::cout);
+  if (opt.campaign.faults.enabled()) {
+    std::cout << "measurement-plane degradation (resilience "
+              << (opt.campaign.resilience ? "on" : "off") << "):\n";
+    degraded.print(std::cout);
   }
-  if (has_faults) world.faults->load(dec);
-  rs.phase_blob.clear();
-  if (dec.b()) rs.phase_blob = dec.str();
-  return true;
-}
-
-/// Writes one checkpoint generation; dies by SIGKILL afterwards when the
-/// crash-injection hook says this was the Nth write.
-class CheckpointWriter {
- public:
-  CheckpointWriter(const CliOptions& opt, const metas::eval::World& world)
-      : opt_(&opt), world_(&world) {}
-
-  bool enabled() const { return !opt_->checkpoint_path.empty(); }
-  int written() const { return written_; }
-
-  void write(const RunState& rs) {
-    if (!enabled()) return;
-    metas::util::checkpoint::Encoder enc;
-    save_run_state(enc, *opt_, rs, *world_);
-    metas::util::checkpoint::WriteOptions wo;
-    wo.keep_last = opt_->keep_checkpoints;
-    if (!metas::util::checkpoint::write_file(opt_->checkpoint_path, enc.data(),
-                                             wo)) {
-      std::cerr << "warning: failed to write checkpoint to '"
-                << opt_->checkpoint_path << "'\n";
-      return;
-    }
-    ++written_;
-    // Flight-recorder dump: while tracing is armed, park the ring's last-N
-    // events next to the checkpoint -- deliberately BEFORE the crash hook
-    // below, so even a SIGKILLed run leaves a timeline of its final
-    // moments for tools/trace_diff.py.
-    if (metas::util::trace::Recorder::instance().enabled())
-      metas::util::trace::Recorder::instance().write_file(
-          opt_->checkpoint_path + ".trace.json");
-    if (opt_->crash_after_checkpoints > 0 &&
-        written_ >= opt_->crash_after_checkpoints) {
-      // Crash-injection hook: die hard (no atexit, no flush) exactly at a
-      // checkpoint boundary, like an OOM kill would.
-      ::raise(SIGKILL);
-    }
-  }
-
- private:
-  const CliOptions* opt_;
-  const metas::eval::World* world_;
-  int written_ = 0;
-};
-
-/// Renders with the eval exporter into memory, then publishes atomically:
-/// a crash mid-export can never leave a truncated CSV for --resume to skip.
-template <typename ExportFn>
-bool export_atomic(const std::string& path, ExportFn&& fn) {
-  std::ostringstream os;
-  fn(os);
-  return metas::util::checkpoint::atomic_write_file(path, os.str());
 }
 
 }  // namespace
@@ -389,6 +209,7 @@ int main(int argc, char** argv) {
     usage();
     return 2;
   }
+  const eval::CampaignConfig& cfg = opt.campaign;
   install_signal_handlers();
   if (!opt.trace_path.empty())
     util::trace::Recorder::instance().start(opt.trace_buffer_events);
@@ -398,212 +219,49 @@ int main(int argc, char** argv) {
   if (opt.deadline_ms > 0)
     control.budget = util::DeadlineBudget::after_ms(opt.deadline_ms);
 
-  eval::WorldConfig wc = opt.scale == "paper"
-                             ? eval::paper_world_config(opt.seed)
-                             : eval::small_world_config(opt.seed);
-  wc.faults = opt.faults;
-  wc.resilience.enabled = opt.resilience;
-  if (!opt.quiet) std::cout << "building world (seed " << opt.seed << ")...\n";
-  eval::World world = eval::build_world(wc);
+  if (!opt.quiet) std::cout << "building world (seed " << cfg.seed << ")...\n";
+  eval::World world = eval::build_world(eval::campaign_world_config(cfg));
 
-  // Select metros.
-  std::vector<topology::MetroId> metros;
-  if (opt.all_metros) {
-    metros = world.focus_metros;
-  } else if (!opt.metro.empty()) {
-    for (const auto& m : world.net.metros)
-      if (m.name == opt.metro) metros.push_back(m.id);
-    if (metros.empty()) {
-      std::cerr << "error: unknown metro '" << opt.metro << "'. Focus metros:";
-      for (auto m : world.focus_metros)
-        std::cerr << ' ' << world.net.metros[static_cast<std::size_t>(m)].name;
-      std::cerr << '\n';
-      return 1;
-    }
-  } else {
-    metros.push_back(world.focus_metros.front());
-  }
-
-  std::error_code ec;
-  std::filesystem::create_directories(opt.out_dir, ec);
-  if (ec) {
-    std::cerr << "error: cannot create output directory '" << opt.out_dir
-              << "': " << ec.message() << '\n';
+  eval::CampaignHooks hooks;
+  if (!opt.quiet) hooks.progress = &std::cout;
+  hooks.after_checkpoint = [&opt](int written) {
+    // Crash-injection hook: die hard (no atexit, no flush) exactly at a
+    // checkpoint boundary, like an OOM kill would.
+    if (opt.crash_after_checkpoints > 0 &&
+        written >= opt.crash_after_checkpoints)
+      ::raise(SIGKILL);
+  };
+  const eval::CampaignResult run =
+      eval::run_campaign(cfg, world, control, hooks);
+  if (!run.error.empty()) {
+    std::cerr << "error: " << run.error << '\n';
     return 1;
   }
-  if (!opt.checkpoint_path.empty()) {
-    const auto parent =
-        std::filesystem::path(opt.checkpoint_path).parent_path();
-    if (!parent.empty()) std::filesystem::create_directories(parent, ec);
-  }
+  print_tables(opt, run.completed);
 
-  RunState rs;
-  if (!opt.resume_path.empty()) {
-    std::string diag;
-    auto payload = util::checkpoint::load_file(opt.resume_path, &diag);
-    if (!payload) {
-      std::cerr << "error: no usable checkpoint at '" << opt.resume_path
-                << "' (" << diag << ")\n";
-      return 1;
-    }
-    try {
-      util::checkpoint::Decoder dec(*payload);
-      std::string why;
-      if (!load_run_state(dec, opt, rs, world, &why)) {
-        std::cerr << "error: cannot resume from '" << opt.resume_path << "': "
-                  << why << '\n';
-        return 1;
-      }
-    } catch (const util::checkpoint::CheckpointError& e) {
-      std::cerr << "error: corrupt checkpoint payload in '" << opt.resume_path
-                << "': " << e.what() << '\n';
-      return 1;
-    }
-    if (!opt.quiet)
-      std::cout << "resumed from " << opt.resume_path << " ("
-                << rs.completed.size() << " metro(s) already complete"
-                << (rs.phase_blob.empty() ? "" : ", one mid-pipeline") << ")\n";
-  }
-
-  CheckpointWriter writer(opt, world);
-  bool stopped_early = false;
-  core::DegradationReport last_degradation;
-
-  for (std::size_t mi = rs.next_metro; mi < metros.size(); ++mi) {
-    if (control.stop_requested()) {
-      stopped_early = true;
-      break;
-    }
-    const auto metro = metros[mi];
-    core::MetroContext ctx(world.net, metro);
-    const std::string name =
-        world.net.metros[static_cast<std::size_t>(metro)].name;
-    if (!opt.quiet) std::cout << "running metAScritic on " << name << "...\n";
-    core::PipelineConfig pc;
-    pc.scheduler.seed = opt.seed + static_cast<std::uint64_t>(metro) * 3 + 1;
-    pc.rank.seed = opt.seed + static_cast<std::uint64_t>(metro) * 3 + 2;
-    core::MetascriticPipeline pipeline(ctx, *world.ms, &rs.priors, pc);
-
-    core::PipelineRunOptions po;
-    po.control = &control;
-    // The rank-boundary hook persists a full CLI snapshot: the phase blob
-    // wrapped together with the shared measurement plane and the completed
-    // metros, so a kill at ANY boundary resumes without losing a probe.
-    const std::string* resume_blob =
-        (mi == rs.next_metro && !rs.phase_blob.empty()) ? &rs.phase_blob
-                                                        : nullptr;
-    std::string resume_copy;
-    if (resume_blob != nullptr) {
-      resume_copy = *resume_blob;  // rs.phase_blob is overwritten below
-      po.resume_blob = &resume_copy;
-    }
-    if (writer.enabled()) {
-      po.checkpoint = [&](const std::string& phase_blob) {
-        rs.next_metro = mi;
-        rs.phase_blob = phase_blob;
-        writer.write(rs);
-      };
-    }
-    core::PipelineResult result = pipeline.run(po);
-    last_degradation = result.degradation;
-    double lambda = opt.threshold > -1.5 ? opt.threshold : result.threshold;
-
-    auto path = [&](const std::string& kind) {
-      return opt.out_dir + "/" + name + "_" + kind + ".csv";
-    };
-    if (!export_atomic(path("links"), [&](std::ostream& os) {
-          eval::export_links_csv(os, ctx, result, lambda);
-        })) {
-      std::cerr << "error: cannot write " << path("links") << '\n';
-      return 1;
-    }
-    export_atomic(path("ratings"), [&](std::ostream& os) {
-      eval::export_ratings_csv(os, ctx, result);
-    });
-    export_atomic(path("measurements"), [&](std::ostream& os) {
-      eval::export_measurement_log_csv(os, ctx, result);
-    });
-
-    std::size_t links = 0;
-    const int n = static_cast<int>(ctx.size());
-    for (int i = 0; i < n; ++i)
-      for (int j = i + 1; j < n; ++j)
-        if (result.ratings(static_cast<std::size_t>(i),
-                           static_cast<std::size_t>(j)) >= lambda)
-          ++links;
-
-    MetroSummary ms_row;
-    ms_row.name = name;
-    ms_row.ases = ctx.size();
-    ms_row.rank = result.estimated_rank;
-    ms_row.traces = result.targeted_traceroutes;
-    ms_row.lambda = lambda;
-    ms_row.links = links;
-    const core::DegradationReport& d = result.degradation;
-    ms_row.fill_fraction = d.fill_fraction;
-    ms_row.probes_faulted = d.probes_faulted;
-    ms_row.retries = d.retries;
-    ms_row.requeues = d.requeues;
-    ms_row.quarantined = d.quarantined_vps;
-    ms_row.dead = d.dead_vps;
-    rs.completed.push_back(ms_row);
-
-    // Metro-completion boundary: persist the finished metro before moving
-    // on, with no in-progress phase state.
-    rs.next_metro = mi + 1;
-    rs.phase_blob.clear();
-    writer.write(rs);
-
-    if (control.stop_requested()) {
-      stopped_early = true;
-      break;
-    }
-  }
-
-  util::Table summary({"metro", "ASes", "rank", "traces", "lambda", "links out"});
-  util::Table degraded({"metro", "row fill", "faulted", "retries", "requeues",
-                        "quarantined", "dead VPs"});
-  for (const MetroSummary& m : rs.completed) {
-    summary.add_row({m.name, util::Table::fmt(m.ases),
-                     util::Table::fmt(m.rank), util::Table::fmt(m.traces),
-                     util::Table::fmt(m.lambda, 2), util::Table::fmt(m.links)});
-    degraded.add_row({m.name, util::Table::fmt(m.fill_fraction, 3),
-                      util::Table::fmt(m.probes_faulted),
-                      util::Table::fmt(m.retries), util::Table::fmt(m.requeues),
-                      util::Table::fmt(m.quarantined),
-                      util::Table::fmt(m.dead)});
-  }
-  summary.print(std::cout);
-  if (opt.faults.enabled()) {
-    std::cout << "measurement-plane degradation (resilience "
-              << (opt.resilience ? "on" : "off") << "):\n";
-    degraded.print(std::cout);
-  }
-
-  if (stopped_early) {
+  if (run.stopped_early) {
     const bool by_deadline = control.budget.expired();
+    const std::size_t truncated =
+        run.completed.empty()
+            ? 0
+            : run.completed.back().degradation.phases_truncated;
     util::Table crash({"cause", "phases truncated", "budget used (ms)",
                        "checkpoints", "metros done"});
     crash.add_row({g_cancel.cancelled() ? "signal" : "deadline",
-                   util::Table::fmt(last_degradation.phases_truncated),
+                   util::Table::fmt(truncated),
                    util::Table::fmt(control.budget.consumed_ms()),
-                   util::Table::fmt(writer.written()),
-                   util::Table::fmt(rs.completed.size())});
+                   util::Table::fmt(run.checkpoints_written),
+                   util::Table::fmt(run.completed.size())});
     std::cout << "run stopped early ("
               << (by_deadline ? "deadline expired" : "cancelled by signal")
               << "); best-so-far results exported:\n";
     crash.print(std::cout);
-    if (writer.enabled())
-      std::cout << "resume with: --resume " << opt.checkpoint_path << '\n';
-    // A signal/deadline stop can land after the last checkpoint-time dump;
-    // refresh the flight recording so it covers the final moments.
-    if (writer.enabled() && util::trace::Recorder::instance().enabled())
-      util::trace::Recorder::instance().write_file(opt.checkpoint_path +
-                                                   ".trace.json");
+    if (!cfg.checkpoint_path.empty())
+      std::cout << "resume with: --resume " << cfg.checkpoint_path << '\n';
   }
 
   if (!opt.quiet)
-    std::cout << "CSV outputs written under " << opt.out_dir << "/\n";
+    std::cout << "CSV outputs written under " << cfg.out_dir << "/\n";
   if (!opt.telemetry_path.empty()) {
     if (!util::telemetry::write_snapshot(opt.telemetry_path,
                                          opt.telemetry_format)) {
@@ -614,7 +272,7 @@ int main(int argc, char** argv) {
     if (!opt.quiet) {
       std::cout << "telemetry snapshot written to " << opt.telemetry_path;
       if (!util::telemetry::compiled())
-        std::cout << " (instrumentation compiled out: core counters only)";
+        std::cout << " (instrumentation compiled out: snapshot is empty)";
       std::cout << "\n";
     }
   }
