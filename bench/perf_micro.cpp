@@ -1,7 +1,8 @@
 // Google-benchmark microbenchmarks for the performance-critical kernels:
 // ALS completion, Gao-Rexford route computation, Jacobi eigendecomposition,
-// and traceroute simulation. These guard against performance regressions in
-// the substrate the reproduction harness leans on.
+// traceroute simulation, and the scheduler's E_m build and fill loop. These
+// guard against performance regressions in the substrate the reproduction
+// harness leans on.
 //
 // With METAS_TELEMETRY_OUT=<path> in the environment, a JSON snapshot of the
 // telemetry registry accumulated across all benchmark iterations is written
@@ -16,6 +17,7 @@
 #include <string>
 
 #include "core/als.hpp"
+#include "core/scheduler.hpp"
 #include "eval/world.hpp"
 #include "linalg/eigen_sym.hpp"
 #include "util/checkpoint.hpp"
@@ -225,6 +227,46 @@ void BM_Traceroute(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Traceroute);
+
+// E_m for the first focus metro: consistent sets at every scope plus the
+// metro-scoped evidence fill (what every scheduler batch starts with).
+void BM_BuildMatrix(benchmark::State& state) {
+  eval::World& w = WorldHolder::get();
+  core::MetroContext ctx(w.net, w.focus_metros.front());
+  for (auto _ : state) {
+    core::EstimatedMatrix e = w.ms->build_matrix(ctx);
+    benchmark::DoNotOptimize(e.total_filled());
+  }
+  state.counters["ases"] = static_cast<double>(ctx.size());
+}
+BENCHMARK(BM_BuildMatrix)->Unit(benchmark::kMicrosecond);
+
+// One measurement campaign at the first focus metro: a fresh P_m and
+// scheduler filling rows to 8 entries under a 1500-probe budget.  The
+// measurement plane is restored from a snapshot (untimed) before each
+// iteration, so every iteration runs the same campaign.
+void BM_SchedulerFill(benchmark::State& state) {
+  eval::World& w = WorldHolder::get();
+  core::MetroContext ctx(w.net, w.focus_metros.front());
+  util::checkpoint::Encoder snapshot;
+  w.ms->save(snapshot);
+  std::size_t launched = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    util::checkpoint::Decoder dec(snapshot.data());
+    w.ms->load(dec);
+    state.ResumeTiming();
+    core::ProbabilityMatrix pm(ctx, *w.ms, nullptr);
+    core::MeasurementScheduler sched(ctx, *w.ms, pm, core::SchedulerConfig{});
+    launched += sched.fill_rows_to(8, 1500);
+    benchmark::DoNotOptimize(sched.history().size());
+  }
+  util::checkpoint::Decoder dec(snapshot.data());
+  w.ms->load(dec);  // leave the shared world as the other benches found it
+  state.counters["probes"] = benchmark::Counter(
+      static_cast<double>(launched), benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_SchedulerFill)->Unit(benchmark::kMillisecond);
 
 // Raw instrumentation cost: one counter increment per iteration.
 void BM_TelemetryCounter(benchmark::State& state) {

@@ -87,38 +87,36 @@ EstimatedMatrix build_estimated_matrix(
     consistent[mac::checked_cast<std::size_t>(g)] =
         consistency.consistent_set(static_cast<GeoScope>(g), ctx.ases());
 
-  // Sorted-key traversal (R10): e.set writes are per-pair independent, but
-  // ordered traversal keeps the fill deterministic by construction.
-  for (std::uint64_t key : evidence.sorted_keys()) {
-    const PairEvidence& ev = evidence.all().at(key);
-    AsId a = mac::checked_cast<AsId>(key & 0xffffffffULL);
-    AsId b = mac::checked_cast<AsId>(key >> 32);
-    int ia = ctx.local(a), ib = ctx.local(b);
-    if (ia < 0 || ib < 0 || ia == ib) continue;
+  // Only the metro's own n(n-1)/2 pairs can land in E_m, so each is looked
+  // up directly.  e.set writes are per-pair independent, so the fill does
+  // not depend on visit order.
+  const std::vector<AsId>& ases = ctx.ases();
+  std::vector<GeoScope> scopes;
+  for (std::size_t ia = 0; ia < ases.size(); ++ia) {
+    for (std::size_t ib = ia + 1; ib < ases.size(); ++ib) {
+      const PairEvidence* ev = evidence.find(ases[ia], ases[ib]);
+      if (ev == nullptr) continue;
 
-    // Positive: the geographically closest direct observation wins.
-    if (!ev.direct.empty()) {
-      GeoScope best = GeoScope::kElsewhere;
-      for (MetroId dm : ev.direct)
-        best = std::min(best, net.metro_scope(m, dm));
-      e.set(mac::checked_cast<std::size_t>(ia), mac::checked_cast<std::size_t>(ib),
-            positive_rating(best));
-    }
+      // Positive: the geographically closest direct observation wins.
+      if (!ev->direct.empty()) {
+        GeoScope best = GeoScope::kElsewhere;
+        for (MetroId dm : ev->direct)
+          best = std::min(best, net.metro_scope(m, dm));
+        e.set(ia, ib, positive_rating(best));
+      }
 
-    // Negative: the finest transit scope at which both ASes still route
-    // consistently; inconsistent ASes yield no non-existence evidence.
-    if (!ev.transit.empty()) {
-      std::vector<GeoScope> scopes;
-      scopes.reserve(ev.transit.size());
-      for (MetroId tm : ev.transit) scopes.push_back(net.metro_scope(m, tm));
-      std::sort(scopes.begin(), scopes.end());
-      for (GeoScope g : scopes) {
-        auto gi = mac::enum_cast<std::size_t>(g);
-        if (consistent[gi][mac::checked_cast<std::size_t>(ia)] &&
-            consistent[gi][mac::checked_cast<std::size_t>(ib)]) {
-          e.set(mac::checked_cast<std::size_t>(ia), mac::checked_cast<std::size_t>(ib),
-                negative_rating(g));
-          break;
+      // Negative: the finest transit scope at which both ASes still route
+      // consistently; inconsistent ASes yield no non-existence evidence.
+      if (!ev->transit.empty()) {
+        scopes.clear();
+        for (MetroId tm : ev->transit) scopes.push_back(net.metro_scope(m, tm));
+        std::sort(scopes.begin(), scopes.end());
+        for (GeoScope g : scopes) {
+          auto gi = mac::enum_cast<std::size_t>(g);
+          if (consistent[gi][ia] && consistent[gi][ib]) {
+            e.set(ia, ib, negative_rating(g));
+            break;
+          }
         }
       }
     }

@@ -15,6 +15,25 @@ using traceroute::kNumVpTopo;
 using traceroute::kTargetCategories;
 using traceroute::kVpCategories;
 
+namespace {
+
+// Pool-size boost for a strategy with `pool` = (#VPs x #targets) candidates:
+// 1 + 0.08 min(3, log10(pool + 1)).  The log saturates at pool = 999, so the
+// factor is a table lookup below that and a constant from there on.
+double pool_factor(std::int64_t pool) {
+  static const std::array<double, 1000> kTable = [] {
+    std::array<double, 1000> t{};
+    for (std::size_t k = 0; k < t.size(); ++k)
+      t[k] = 1.0 + 0.08 * std::min(3.0, std::log10(static_cast<double>(k) + 1.0));
+    return t;
+  }();
+  MAC_REQUIRE(pool >= 0, "pool=", pool);
+  if (pool < 1000) return kTable[mac::checked_cast<std::size_t>(pool)];
+  return 1.0 + 0.08 * 3.0;
+}
+
+}  // namespace
+
 void StrategyPriors::absorb(
     const std::array<double, kNumStrategies>& a,
     const std::array<double, kNumStrategies>& b) {
@@ -59,6 +78,26 @@ ProbabilityMatrix::ProbabilityMatrix(const MetroContext& ctx,
       }
     }
   }
+  rebuild_derived();
+}
+
+void ProbabilityMatrix::rebuild_derived() {
+  ++version_;
+  vp_nz_.assign(n_, {});
+  tgt_nz_.assign(n_, {});
+  for (std::size_t i = 0; i < n_; ++i) {
+    for (int v = 0; v < kVpCategories; ++v)
+      if (int c = vp_counts_[i][mac::checked_cast<std::size_t>(v)]; c != 0)
+        vp_nz_[i].push_back({v, c});
+    for (int t = 0; t < kTargetCategories; ++t)
+      if (int c = tgt_counts_[i][mac::checked_cast<std::size_t>(t)]; c != 0)
+        tgt_nz_[i].push_back({t, c});
+  }
+  for (int s = 0; s < kNumStrategies; ++s)
+    sprob_[mac::checked_cast<std::size_t>(s)] = strategy_prob(s);
+  penalised_.assign(n_ * n_, 0);
+  for (const auto& [key, p] : penalties_)  // lint: allow(unordered-iter) -- sets per-pair flags; the result is independent of visit order
+    penalised_[key / kNumStrategies] = 1;
 }
 
 double ProbabilityMatrix::strategy_prob(int strategy) const {
@@ -81,26 +120,28 @@ std::uint64_t ProbabilityMatrix::penalty_key(int i, int j, int s) const {
 
 double ProbabilityMatrix::dir_prob(int near, int far, int* best_vp,
                                    int* best_tgt) const {
-  const auto& vc = vp_counts_[mac::checked_cast<std::size_t>(near)];
-  const auto& tc = tgt_counts_[mac::checked_cast<std::size_t>(far)];
+  const auto& vs = vp_nz_[mac::checked_cast<std::size_t>(near)];
+  const auto& ts = tgt_nz_[mac::checked_cast<std::size_t>(far)];
+  const bool any_penalty =
+      penalised_[mac::checked_cast<std::size_t>(near) * n_ +
+                 mac::checked_cast<std::size_t>(far)] != 0;
   double best = 0.0;
-  for (int v = 0; v < kVpCategories; ++v) {
-    if (vc[mac::checked_cast<std::size_t>(v)] == 0) continue;
-    for (int t = 0; t < kTargetCategories; ++t) {
-      if (tc[mac::checked_cast<std::size_t>(t)] == 0) continue;
-      int s = traceroute::strategy_index(v, t);
-      if (!allowed_[mac::checked_cast<std::size_t>(s)]) continue;
-      double p = strategy_prob(s);
+  for (const CategoryCount& v : vs) {
+    for (const CategoryCount& t : ts) {
+      int s = traceroute::strategy_index(v.cat, t.cat);
+      auto si = mac::checked_cast<std::size_t>(s);
+      if (!allowed_[si]) continue;
+      double p = sprob_[si];
       // Larger candidate pools make a strategy more likely to pan out.
-      double pool = static_cast<double>(vc[mac::checked_cast<std::size_t>(v)]) *
-                    static_cast<double>(tc[mac::checked_cast<std::size_t>(t)]);
-      p *= 1.0 + 0.08 * std::min(3.0, std::log10(pool + 1.0));
-      auto pen = penalties_.find(penalty_key(near, far, s));
-      if (pen != penalties_.end()) p *= pen->second;
+      p *= pool_factor(std::int64_t{v.count} * t.count);
+      if (any_penalty) {
+        auto pen = penalties_.find(penalty_key(near, far, s));
+        if (pen != penalties_.end()) p *= pen->second;
+      }
       if (p > best) {
         best = p;
-        if (best_vp != nullptr) *best_vp = v;
-        if (best_tgt != nullptr) *best_tgt = t;
+        if (best_vp != nullptr) *best_vp = v.cat;
+        if (best_tgt != nullptr) *best_tgt = t.cat;
       }
     }
   }
@@ -135,6 +176,7 @@ void ProbabilityMatrix::record(int i, int j, const StrategyChoice& choice,
   MAC_REQUIRE(choice.probability >= 0.0 && choice.probability <= 1.0,
               "probability=", choice.probability);
   if (choice.vp_cat < 0 || choice.tgt_cat < 0) return;
+  ++version_;
   int s = traceroute::strategy_index(choice.vp_cat, choice.tgt_cat);
   auto si = mac::checked_cast<std::size_t>(s);
   if (informative) {
@@ -145,7 +187,10 @@ void ProbabilityMatrix::record(int i, int j, const StrategyChoice& choice,
     int far = choice.swapped ? i : j;
     auto [it, inserted] = penalties_.emplace(penalty_key(near, far, s), 1.0);
     it->second *= cfg_.penalty_factor;
+    penalised_[mac::checked_cast<std::size_t>(near) * n_ +
+               mac::checked_cast<std::size_t>(far)] = 1;
   }
+  sprob_[si] = strategy_prob(s);
 }
 
 void ProbabilityMatrix::export_priors(StrategyPriors& pool) const {
@@ -159,6 +204,7 @@ void ProbabilityMatrix::export_priors(StrategyPriors& pool) const {
 }
 
 void ProbabilityMatrix::restrict_to_ixp_mapped() {
+  ++version_;
   using traceroute::Strategy;
   using traceroute::TargetTopo;
   using traceroute::VpTopo;
@@ -212,12 +258,22 @@ void ProbabilityMatrix::save(util::checkpoint::Encoder& enc) const {
 void ProbabilityMatrix::load(util::checkpoint::Decoder& dec) {
   const std::uint64_t n = dec.u64();
   MAC_REQUIRE(n == n_, "checkpoint size ", n, " != matrix size ", n_);
-  vp_counts_.assign(dec.u64(), {});
-  for (auto& row : vp_counts_)
-    for (int& c : row) c = dec.i32();
-  tgt_counts_.assign(dec.u64(), {});
-  for (auto& row : tgt_counts_)
-    for (int& c : row) c = dec.i32();
+  // The derived indexes are rebuilt from these counts, so they are checked
+  // like the framing: one row per AS, no negative availability.
+  auto read_counts = [&dec, this](auto& rows) {
+    if (dec.u64() != n_)
+      throw util::checkpoint::CheckpointError("probability rows != matrix size");
+    rows.assign(n_, {});
+    for (auto& row : rows) {
+      for (int& c : row) {
+        c = dec.i32();
+        if (c < 0)
+          throw util::checkpoint::CheckpointError("negative availability count");
+      }
+    }
+  };
+  read_counts(vp_counts_);
+  read_counts(tgt_counts_);
   for (double& a : alpha_) a = dec.f64();
   for (double& b : beta_) b = dec.f64();
   for (bool& a : allowed_) a = dec.b();
@@ -226,8 +282,11 @@ void ProbabilityMatrix::load(util::checkpoint::Decoder& dec) {
   const std::uint64_t np = dec.u64();
   for (std::uint64_t k = 0; k < np; ++k) {
     const std::uint64_t key = dec.u64();
+    if (key / kNumStrategies >= n_ * n_)
+      throw util::checkpoint::CheckpointError("penalty key out of range");
     penalties_[key] = dec.f64();
   }
+  rebuild_derived();
 }
 
 }  // namespace metas::core

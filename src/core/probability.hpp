@@ -75,6 +75,10 @@ class ProbabilityMatrix {
   /// Records a measurement outcome for entry (i, j) with the used strategy.
   void record(int i, int j, const StrategyChoice& choice, bool informative);
 
+  /// Bumped by every call that can change choose(); callers may cache
+  /// choose()/entry_prob() results while it stays the same.
+  std::uint64_t version() const { return version_; }
+
   /// Exports posterior counts into the hierarchical pool.
   void export_priors(StrategyPriors& pool) const;
 
@@ -91,6 +95,8 @@ class ProbabilityMatrix {
  private:
   double dir_prob(int near, int far, int* best_vp, int* best_tgt) const;
   std::uint64_t penalty_key(int i, int j, int s) const;
+  /// Rebuilds every derived index below from the counters.
+  void rebuild_derived();
 
   const MetroContext* ctx_;  // lint: allow(view-member) -- caller-owned context; the matrix lives inside the metro's pipeline scope
   ProbabilityConfig cfg_;
@@ -101,6 +107,17 @@ class ProbabilityMatrix {
   std::array<double, traceroute::kNumStrategies> alpha_{}, beta_{};
   std::array<bool, traceroute::kNumStrategies> allowed_{};
   std::unordered_map<std::uint64_t, double> penalties_;
+
+  // Derived from the state above (never serialized; load() rebuilds it).
+  // Nonzero availability categories per local AS, ascending category order.
+  struct CategoryCount {
+    int cat;
+    int count;
+  };
+  std::vector<std::vector<CategoryCount>> vp_nz_, tgt_nz_;
+  std::array<double, traceroute::kNumStrategies> sprob_{};  // strategy_prob
+  std::vector<std::uint8_t> penalised_;  // ordered (near, far): any penalty
+  std::uint64_t version_ = 0;
 };
 
 }  // namespace metas::core

@@ -29,7 +29,11 @@ MeasurementScheduler::MeasurementScheduler(const MetroContext& ctx,
       cfg_(cfg),
       rng_(cfg.seed),
       fail_streak_(ctx.size(), 0),
-      given_up_(ctx.size(), false) {
+      given_up_(ctx.size(), false),
+      explored_entries_(ctx.size() * ctx.size(), 0),
+      attempted_(ctx.size() * ctx.size(), 0),
+      requeued_(ctx.size() * ctx.size()),
+      exploit_p_(ctx.size(), -1.0) {
   MAC_REQUIRE(cfg.batch_size > 0, "batch_size=", cfg.batch_size);
   MAC_REQUIRE(cfg.epsilon >= 0.0 && cfg.epsilon <= 1.0,
               "epsilon=", cfg.epsilon);
@@ -101,9 +105,7 @@ std::size_t MeasurementScheduler::fill_rows_to(int target, std::size_t budget) {
 }
 
 bool MeasurementScheduler::under_backoff(int i, int j) const {
-  if (requeued_.empty()) return false;
-  auto it = requeued_.find(entry_key(i, j, ctx_->size()));
-  return it != requeued_.end() && it->second.first > sched_tick_;
+  return requeued_[entry_key(i, j, ctx_->size())].retry_at > sched_tick_;
 }
 
 void MeasurementScheduler::finish_campaign(int target) {
@@ -136,13 +138,14 @@ void MeasurementScheduler::finish_campaign(int target) {
 BatchResult MeasurementScheduler::run_batch(const EstimatedMatrix& e,
                                             int target) {
   const std::size_t n = ctx_->size();
+  BatchResult result;
+  if (n < 2) return result;  // no entries to measure
   // Optimistic per-batch fill counts: selected measurements are assumed
   // successful while composing the batch (§3.3.1).
   std::vector<std::size_t> sim_filled(n);
   for (std::size_t i = 0; i < n; ++i) sim_filled[i] = e.row_filled(i);
 
-  std::unordered_set<std::uint64_t> batch_explored_rows;
-  BatchResult result;
+  std::vector<std::uint8_t> batch_explored_rows(n, 0);
   MAC_COUNT("scheduler.batches_run");
 
   if (cfg_.policy == SelectionPolicy::kGreedy && greedy_order_.empty()) {
@@ -179,9 +182,9 @@ BatchResult MeasurementScheduler::run_batch(const EstimatedMatrix& e,
     MAC_COUNT("scheduler.picks_selected");
     if (pick.exploration) {
       MAC_COUNT("scheduler.picks_exploration");
-      batch_explored_rows.insert(mac::checked_cast<std::uint64_t>(pick.i));
-      batch_explored_rows.insert(mac::checked_cast<std::uint64_t>(pick.j));
-      explored_entries_.insert(entry_key(pick.i, pick.j, n));
+      batch_explored_rows[mac::checked_cast<std::size_t>(pick.i)] = 1;
+      batch_explored_rows[mac::checked_cast<std::size_t>(pick.j)] = 1;
+      explored_entries_[entry_key(pick.i, pick.j, n)] = 1;
     }
     sim_filled[mac::checked_cast<std::size_t>(pick.i)]++;
     sim_filled[mac::checked_cast<std::size_t>(pick.j)]++;
@@ -212,6 +215,11 @@ MeasurementScheduler::Pick MeasurementScheduler::pick_exploit(
     }
   }
   if (best_row < 0) return {};
+  if (best_row != exploit_row_ || pm_->version() != exploit_version_) {
+    exploit_row_ = best_row;
+    exploit_version_ = pm_->version();
+    std::fill(exploit_p_.begin(), exploit_p_.end(), -1.0);
+  }
   // Unfilled entry in that row with the highest P, skipping entries waiting
   // out an infrastructure backoff.
   int best_j = -1;
@@ -224,7 +232,8 @@ MeasurementScheduler::Pick MeasurementScheduler::pick_exploit(
       skipped_backoff = true;
       continue;
     }
-    double p = pm_->entry_prob(best_row, mac::checked_cast<int>(j));
+    double& p = exploit_p_[j];
+    if (p < 0.0) p = pm_->entry_prob(best_row, mac::checked_cast<int>(j));
     if (p > best_p) {
       best_p = p;
       best_j = mac::checked_cast<int>(j);
@@ -245,7 +254,7 @@ MeasurementScheduler::Pick MeasurementScheduler::pick_exploit(
 
 MeasurementScheduler::Pick MeasurementScheduler::pick_explore(
     const std::vector<std::size_t>& sim_filled, const EstimatedMatrix& e,
-    const std::unordered_set<std::uint64_t>& batch_rows) {
+    const std::vector<std::uint8_t>& batch_rows) {
   const std::size_t n = ctx_->size();
   // Entry (i, j) minimizing filled(i)+filled(j) with a usable traceroute,
   // at most one exploration per row per batch and one per entry ever.
@@ -262,11 +271,11 @@ MeasurementScheduler::Pick MeasurementScheduler::pick_explore(
       std::size_t b = s - a;
       if (b >= n) continue;
       std::size_t i = rows[a], j = rows[b];
-      if (batch_rows.count(i) != 0 || batch_rows.count(j) != 0) continue;
+      if (batch_rows[i] != 0 || batch_rows[j] != 0) continue;
       if (i > j) std::swap(i, j);
       if (i == j || e.filled(i, j)) continue;
-      if (explored_entries_.count(entry_key(mac::checked_cast<int>(i),
-                                            mac::checked_cast<int>(j), n)) != 0)
+      if (explored_entries_[entry_key(mac::checked_cast<int>(i),
+                                      mac::checked_cast<int>(j), n)] != 0)
         continue;
       if (under_backoff(mac::checked_cast<int>(i), mac::checked_cast<int>(j))) continue;
       if (pm_->entry_prob(mac::checked_cast<int>(i), mac::checked_cast<int>(j)) > 0.0)
@@ -287,8 +296,8 @@ MeasurementScheduler::Pick MeasurementScheduler::pick_random(
       continue;
     if (under_backoff(i, j)) continue;
     auto key = entry_key(i, j, n);
-    if (attempted_.count(key) != 0) continue;
-    attempted_.insert(key);
+    if (attempted_[key] != 0) continue;
+    attempted_[key] = 1;
     return {std::min(i, j), std::max(i, j), false};
   }
   return {};
@@ -304,8 +313,8 @@ MeasurementScheduler::Pick MeasurementScheduler::pick_greedy(
     if (e.filled(mac::checked_cast<std::size_t>(i), mac::checked_cast<std::size_t>(j)))
       continue;
     if (under_backoff(i, j)) continue;
-    if (attempted_.count(key) != 0) continue;
-    attempted_.insert(key);
+    if (attempted_[key] != 0) continue;
+    attempted_[key] = 1;
     return {i, j, false};
   }
   return {};
@@ -373,17 +382,17 @@ std::size_t MeasurementScheduler::execute(const Pick& pick) {
   if (requeue) {
     // The infrastructure, not the strategy, failed: requeue the entry with
     // exponential backoff and leave fail_streak / P_m untouched.
-    auto& [retry_at, fails] = requeued_[key];
-    int doublings = std::min(fails, 7);
-    ++fails;
-    retry_at = sched_tick_ +
-               std::min<std::uint64_t>(
-                   mac::checked_cast<std::uint64_t>(cfg_.requeue_backoff_base)
-                       << doublings,
-                   mac::checked_cast<std::uint64_t>(cfg_.requeue_backoff_cap));
+    Backoff& b = requeued_[key];
+    int doublings = std::min(b.fails, 7);
+    ++b.fails;
+    b.retry_at = sched_tick_ +
+                 std::min<std::uint64_t>(
+                     mac::checked_cast<std::uint64_t>(cfg_.requeue_backoff_base)
+                         << doublings,
+                     mac::checked_cast<std::uint64_t>(cfg_.requeue_backoff_cap));
     return spent;
   }
-  if (!requeued_.empty()) requeued_.erase(key);
+  requeued_[key] = {};
 
   pm_->record(pick.i, pick.j, choice, out.informative);
 
@@ -398,22 +407,26 @@ std::size_t MeasurementScheduler::execute(const Pick& pick) {
 
 namespace {
 
-void save_u64_set(util::checkpoint::Encoder& enc,
-                  const std::unordered_set<std::uint64_t>& set) {
-  std::vector<std::uint64_t> keys;
-  keys.reserve(set.size());
-  for (std::uint64_t k : set)  // lint: allow(unordered-iter) -- key harvest only; sorted below before anything is emitted
-    keys.push_back(k);
-  std::sort(keys.begin(), keys.end());
-  enc.u64(keys.size());
-  for (std::uint64_t k : keys) enc.u64(k);
+// Dense per-entry flags travel as the ascending list of set keys.
+void save_flags(util::checkpoint::Encoder& enc,
+                const std::vector<std::uint8_t>& flags) {
+  std::uint64_t set = 0;
+  for (std::uint8_t f : flags) set += f != 0 ? 1 : 0;
+  enc.u64(set);
+  for (std::size_t k = 0; k < flags.size(); ++k)
+    if (flags[k] != 0) enc.u64(k);
 }
 
-void load_u64_set(util::checkpoint::Decoder& dec,
-                  std::unordered_set<std::uint64_t>& set) {
-  set.clear();
+void load_flags(util::checkpoint::Decoder& dec,
+                std::vector<std::uint8_t>& flags) {
+  std::fill(flags.begin(), flags.end(), 0);
   const std::uint64_t n = dec.u64();
-  for (std::uint64_t k = 0; k < n; ++k) set.insert(dec.u64());
+  for (std::uint64_t k = 0; k < n; ++k) {
+    const std::uint64_t key = dec.u64();
+    if (key >= flags.size())
+      throw util::checkpoint::CheckpointError("scheduler entry key out of range");
+    flags[mac::checked_cast<std::size_t>(key)] = 1;
+  }
 }
 
 }  // namespace
@@ -443,27 +456,25 @@ void MeasurementScheduler::save(util::checkpoint::Encoder& enc) const {
   enc.u64(given_up_.size());
   for (bool g : given_up_) enc.b(g);
 
-  save_u64_set(enc, explored_entries_);
+  save_flags(enc, explored_entries_);
   enc.u64(greedy_order_.size());
   for (const auto& [p, key] : greedy_order_) {
     enc.f64(p);
     enc.u64(key);
   }
   enc.u64(greedy_cursor_);
-  save_u64_set(enc, attempted_);
+  save_flags(enc, attempted_);
   enc.u64(sched_tick_);
 
-  std::vector<std::uint64_t> rq_keys;
-  rq_keys.reserve(requeued_.size());
-  for (const auto& [key, v] : requeued_)  // lint: allow(unordered-iter) -- key harvest only; sorted below before anything is emitted
-    rq_keys.push_back(key);
-  std::sort(rq_keys.begin(), rq_keys.end());
-  enc.u64(rq_keys.size());
-  for (std::uint64_t key : rq_keys) {
-    const auto& [retry_at, fails] = requeued_.at(key);
+  std::uint64_t live = 0;
+  for (const Backoff& b : requeued_) live += b.fails > 0 ? 1 : 0;
+  enc.u64(live);
+  for (std::size_t key = 0; key < requeued_.size(); ++key) {
+    const Backoff& b = requeued_[key];
+    if (b.fails == 0) continue;
     enc.u64(key);
-    enc.u64(retry_at);
-    enc.i32(fails);
+    enc.u64(b.retry_at);
+    enc.i32(b.fails);
   }
 
   degradation_.save(enc);
@@ -498,7 +509,7 @@ void MeasurementScheduler::load(util::checkpoint::Decoder& dec) {
   given_up_.assign(dec.u64(), false);
   for (std::size_t k = 0; k < given_up_.size(); ++k) given_up_[k] = dec.b();
 
-  load_u64_set(dec, explored_entries_);
+  load_flags(dec, explored_entries_);
   greedy_order_.clear();
   const std::uint64_t ng = dec.u64();
   greedy_order_.reserve(ng);
@@ -507,19 +518,22 @@ void MeasurementScheduler::load(util::checkpoint::Decoder& dec) {
     greedy_order_.emplace_back(p, dec.u64());
   }
   greedy_cursor_ = dec.u64();
-  load_u64_set(dec, attempted_);
+  load_flags(dec, attempted_);
   sched_tick_ = dec.u64();
 
-  requeued_.clear();
+  std::fill(requeued_.begin(), requeued_.end(), Backoff{});
   const std::uint64_t nr = dec.u64();
   for (std::uint64_t k = 0; k < nr; ++k) {
     const std::uint64_t key = dec.u64();
-    auto& [retry_at, fails] = requeued_[key];
-    retry_at = dec.u64();
-    fails = dec.i32();
+    if (key >= requeued_.size())
+      throw util::checkpoint::CheckpointError("scheduler entry key out of range");
+    Backoff& b = requeued_[mac::checked_cast<std::size_t>(key)];
+    b.retry_at = dec.u64();
+    b.fails = dec.i32();
   }
 
   degradation_.load(dec);
+  exploit_row_ = -1;
 }
 
 void DegradationReport::save(util::checkpoint::Encoder& enc) const {

@@ -8,8 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "core/measurement_system.hpp"
@@ -104,7 +102,8 @@ class MeasurementScheduler {
   /// no further progress is possible. Returns probes launched (budget spent).
   std::size_t fill_rows_to(int target, std::size_t budget);
 
-  /// Runs one batch against the current fill state.
+  /// Runs one batch against the current fill state.  A context with fewer
+  /// than two ASes has no entries, so the batch is empty.
   BatchResult run_batch(const EstimatedMatrix& current, int target);
 
   const std::vector<IssuedRecord>& history() const { return history_; }
@@ -134,7 +133,7 @@ class MeasurementScheduler {
                     const EstimatedMatrix& e, int target);
   Pick pick_explore(const std::vector<std::size_t>& sim_filled,
                     const EstimatedMatrix& e,
-                    const std::unordered_set<std::uint64_t>& batch_rows);
+                    const std::vector<std::uint8_t>& batch_rows);
   Pick pick_random(const EstimatedMatrix& e);
   Pick pick_greedy(const EstimatedMatrix& e);
   /// Runs the pick; returns probes launched (0 when no strategy was usable
@@ -152,16 +151,28 @@ class MeasurementScheduler {
   std::vector<IssuedRecord> history_;
   std::vector<int> fail_streak_;
   std::vector<bool> given_up_;
-  std::unordered_set<std::uint64_t> explored_entries_;  // lifetime 1 per entry
+  // Per-entry state is dense, indexed by entry key (lo * n + hi), so the
+  // O(n) and O(n^2) pick scans probe it with one array index.
+  std::vector<std::uint8_t> explored_entries_;  // lifetime 1 per entry
   std::vector<std::pair<double, std::uint64_t>> greedy_order_;  // lazy, desc
   std::size_t greedy_cursor_ = 0;
-  std::unordered_set<std::uint64_t> attempted_;  // greedy/random de-dup
+  std::vector<std::uint8_t> attempted_;  // greedy/random de-dup
 
   DegradationReport degradation_;
   std::uint64_t sched_tick_ = 0;  // one per batch slot processed
-  // Infra-failed entries waiting out their backoff:
-  // entry key -> (retry-at tick, consecutive infra failures).
-  std::unordered_map<std::uint64_t, std::pair<std::uint64_t, int>> requeued_;
+  // Infra-failed entries waiting out their backoff, by entry key; an entry
+  // is requeued while fails > 0.
+  struct Backoff {
+    std::uint64_t retry_at = 0;  // tick at which the entry is pickable again
+    int fails = 0;               // consecutive infra failures
+  };
+  std::vector<Backoff> requeued_;
+  // P row of the last exploited row, valid while P_m's version is
+  // exploit_version_ (a row stuck behind backoff is rescanned every slot);
+  // a negative value marks an entry not evaluated yet.  Never serialized.
+  int exploit_row_ = -1;
+  std::uint64_t exploit_version_ = 0;
+  std::vector<double> exploit_p_;
 };
 
 }  // namespace metas::core

@@ -15,27 +15,32 @@ using topology::pair_key;
 void ConsistencyTracker::ingest(const TraceObservations& obs) {
   for (const LinkObs& l : obs.links) {
     if (l.metro < 0) continue;
-    pair_data_[pair_key(l.a, l.b)].direct.insert(l.metro);
+    const std::uint64_t key = pair_key(l.a, l.b);
+    PairEvidence& ev = pair_data_[key];
+    if (!ev.direct.insert(l.metro).second) continue;
+    for (MetroId t : ev.transit) note_mix(key, l.metro, t);
   }
   for (const TransitObs& t : obs.transits) {
     MetroId m = t.metro_b_side >= 0 ? t.metro_b_side : t.metro_a_side;
     if (m < 0) continue;
-    pair_data_[pair_key(t.a, t.b)].transit.insert(m);
+    const std::uint64_t key = pair_key(t.a, t.b);
+    PairEvidence& ev = pair_data_[key];
+    if (!ev.transit.insert(m).second) continue;
+    for (MetroId d : ev.direct) note_mix(key, d, m);
   }
 }
 
-bool ConsistencyTracker::metros_close(MetroId a, MetroId b, GeoScope g) const {
-  return mac::enum_cast<int>(net_->metro_scope(a, b)) <= mac::enum_cast<int>(g);
+void ConsistencyTracker::note_mix(std::uint64_t key, MetroId direct,
+                                  MetroId transit) {
+  const GeoScope g = net_->metro_scope(direct, transit);
+  auto [it, inserted] = inconsistent_.emplace(key, g);
+  if (!inserted) it->second = std::min(it->second, g);
 }
 
 bool ConsistencyTracker::pair_inconsistent(AsId a, AsId b, GeoScope g) const {
-  auto it = pair_data_.find(pair_key(a, b));
-  if (it == pair_data_.end()) return false;
-  const PairEvidence& ev = it->second;
-  for (MetroId d : ev.direct)
-    for (MetroId t : ev.transit)
-      if (metros_close(d, t, g)) return true;
-  return false;
+  auto it = inconsistent_.find(pair_key(a, b));
+  return it != inconsistent_.end() &&
+         mac::enum_cast<int>(it->second) <= mac::enum_cast<int>(g);
 }
 
 std::vector<bool> ConsistencyTracker::consistent_set(
@@ -48,30 +53,17 @@ std::vector<bool> ConsistencyTracker::consistent_set(
   // Sorted-key traversal (R10): the greedy elimination below breaks count
   // ties by universe index, so it is order-independent today -- ordered
   // traversal keeps that property structural rather than incidental.
-  std::vector<std::uint64_t> keys;
-  keys.reserve(pair_data_.size());
-  for (const auto& [key, ev] : pair_data_)  // lint: allow(unordered-iter) -- key harvest only; sorted below before any consumer sees it
-    keys.push_back(key);
-  std::sort(keys.begin(), keys.end());
-
   struct Pair { int a, b; };
   std::vector<Pair> bad;
-  for (std::uint64_t key : keys) {
-    const PairEvidence& ev = pair_data_.at(key);
+  for (const auto& [key, finest] : inconsistent_) {
+    if (mac::enum_cast<int>(finest) > mac::enum_cast<int>(g)) continue;
     AsId a = mac::checked_cast<AsId>(key & 0xffffffffULL);
     AsId b = mac::checked_cast<AsId>(key >> 32);
     auto ia = pos.find(a);
     auto ib = pos.find(b);
     if (ia == pos.end() || ib == pos.end()) continue;
-    bool inconsistent = false;
-    for (MetroId d : ev.direct) {
-      for (MetroId t : ev.transit)
-        if (metros_close(d, t, g)) { inconsistent = true; break; }
-      if (inconsistent) break;
-    }
-    if (inconsistent) bad.push_back({ia->second, ib->second});
+    bad.push_back({ia->second, ib->second});
   }
-
   std::vector<bool> alive(universe.size(), true);
   std::vector<int> count(universe.size(), 0);
   for (const Pair& p : bad) {
@@ -152,6 +144,10 @@ void ConsistencyTracker::load(util::checkpoint::Decoder& dec) {
     const std::uint64_t nt = dec.u64();
     for (std::uint64_t t = 0; t < nt; ++t) ev.transit.insert(dec.i32());
   }
+  inconsistent_.clear();
+  for (const auto& [key, ev] : pair_data_)  // lint: allow(unordered-iter) -- note_mix folds with min per key; the index is independent of visit order
+    for (MetroId d : ev.direct)
+      for (MetroId t : ev.transit) note_mix(key, d, t);
 }
 
 void WellPositionedTracker::save(util::checkpoint::Encoder& enc) const {

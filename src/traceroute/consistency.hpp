@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <set>
 #include <unordered_map>
 #include <unordered_set>
@@ -34,13 +35,15 @@ class ConsistencyTracker {
   void ingest(const TraceObservations& obs);
 
   /// True if the pair mixes direct and transit evidence within `g`
-  /// (i.e., a direct metro and a transit metro that are `g`-close).
+  /// (i.e., a direct metro and a transit metro that are `g`-close).  O(log I)
+  /// for I inconsistent pairs.
   bool pair_inconsistent(topology::AsId a, topology::AsId b,
                          topology::GeoScope g) const;
 
   /// Iteratively eliminates the ASes with the most inconsistent pairs at
   /// granularity `g`; returns a membership flag per AS id in `universe`
   /// (true = consistent, usable for transfer / non-existence inference).
+  /// Walks only the inconsistent-pair index, not every tracked pair.
   std::vector<bool> consistent_set(topology::GeoScope g,
                                    const std::vector<topology::AsId>& universe) const;
 
@@ -55,11 +58,18 @@ class ConsistencyTracker {
     std::set<topology::MetroId> direct;
     std::set<topology::MetroId> transit;
   };
-  bool metros_close(topology::MetroId a, topology::MetroId b,
-                    topology::GeoScope g) const;
+  /// Folds one new (direct, transit) metro combination into the index.
+  void note_mix(std::uint64_t key, topology::MetroId direct,
+                topology::MetroId transit);
 
   const topology::Internet* net_;  // lint: allow(view-member) -- the World owns the Internet and every checker scoped inside a run of it
   std::unordered_map<std::uint64_t, PairEvidence> pair_data_;
+  // Derived from pair_data_ (never serialized; load() rebuilds it): pair key
+  // -> the finest scope at which the pair is inconsistent, i.e. the closest
+  // (direct, transit) metro combination.  Evidence only grows and a pair
+  // inconsistent at scope g is inconsistent at every coarser one, so
+  // ingest() keeps this exact incrementally.
+  std::map<std::uint64_t, topology::GeoScope> inconsistent_;
 };
 
 /// Tracks which (AS, metro) interfaces each vantage point has traversed.

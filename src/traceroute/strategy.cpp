@@ -18,10 +18,6 @@ int strategy_index(const Strategy& s) {
          target_category(s.tgt_geo, s.tgt_topo);
 }
 
-int strategy_index(int vp_cat, int tgt_cat) {
-  return vp_cat * kTargetCategories + tgt_cat;
-}
-
 Strategy strategy_from_index(int idx) {
   Strategy s;
   int vp_cat = idx / kTargetCategories;

@@ -56,6 +56,10 @@ int categorize_vp(const topology::Internet& net, const VantagePoint& vp,
 int categorize_target(const topology::Internet& net, const ProbeTarget& tgt,
                       topology::AsId j, topology::MetroId m);
 
-int strategy_index(int vp_cat, int tgt_cat);
+/// Dense strategy index of a (VP category, target category) pair.  Inline:
+/// P_m evaluates it for every candidate strategy of every entry it scores.
+constexpr int strategy_index(int vp_cat, int tgt_cat) {
+  return vp_cat * kTargetCategories + tgt_cat;
+}
 
 }  // namespace metas::traceroute

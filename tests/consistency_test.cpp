@@ -1,11 +1,16 @@
 // Consistent-routing detection and well-positioned-VP tests (§3.4).
 #include "traceroute/consistency.hpp"
 
+#include <algorithm>
+#include <map>
 #include <memory>
+#include <set>
 
 #include <gtest/gtest.h>
 
 #include "topology/generator.hpp"
+#include "util/checkpoint.hpp"
+#include "util/rng.hpp"
 
 namespace metas::traceroute {
 namespace {
@@ -93,6 +98,138 @@ TEST_F(ConsistencyTest, OnlyDirectOrOnlyTransitStaysConsistent) {
   std::vector<AsId> universe{1, 2, 4, 5};
   auto alive = t.consistent_set(GeoScope::kElsewhere, universe);
   for (bool a : alive) EXPECT_TRUE(a);
+}
+
+// Brute-force reference for the tracker's inconsistency index: keeps every
+// pair's metro sets and re-tests them on every query, walking
+// pairs in sorted-key order.
+class ReferenceConsistency {
+ public:
+  explicit ReferenceConsistency(const topology::Internet& net) : net_(&net) {}
+
+  void ingest(const TraceObservations& obs) {
+    for (const LinkObs& l : obs.links)
+      if (l.metro >= 0) pairs_[topology::pair_key(l.a, l.b)].first.insert(l.metro);
+    for (const TransitObs& t : obs.transits) {
+      MetroId m = t.metro_b_side >= 0 ? t.metro_b_side : t.metro_a_side;
+      if (m >= 0) pairs_[topology::pair_key(t.a, t.b)].second.insert(m);
+    }
+  }
+
+  bool pair_inconsistent(AsId a, AsId b, GeoScope g) const {
+    auto it = pairs_.find(topology::pair_key(a, b));
+    return it != pairs_.end() && inconsistent(it->second, g);
+  }
+
+  std::vector<bool> consistent_set(GeoScope g,
+                                   const std::vector<AsId>& universe) const {
+    std::map<AsId, int> pos;
+    for (std::size_t i = 0; i < universe.size(); ++i)
+      pos[universe[i]] = static_cast<int>(i);
+    std::vector<std::pair<int, int>> bad;
+    for (const auto& [key, ev] : pairs_) {  // std::map: sorted keys
+      auto ia = pos.find(static_cast<AsId>(key & 0xffffffffULL));
+      auto ib = pos.find(static_cast<AsId>(key >> 32));
+      if (ia == pos.end() || ib == pos.end()) continue;
+      if (inconsistent(ev, g)) bad.emplace_back(ia->second, ib->second);
+    }
+    std::vector<bool> alive(universe.size(), true);
+    while (true) {
+      std::vector<int> count(universe.size(), 0);
+      for (auto [a, b] : bad) {
+        if (!alive[static_cast<std::size_t>(a)] || !alive[static_cast<std::size_t>(b)])
+          continue;
+        ++count[static_cast<std::size_t>(a)];
+        ++count[static_cast<std::size_t>(b)];
+      }
+      auto worst = std::max_element(count.begin(), count.end());
+      if (worst == count.end() || *worst == 0) break;
+      alive[static_cast<std::size_t>(worst - count.begin())] = false;
+    }
+    return alive;
+  }
+
+ private:
+  using Sets = std::pair<std::set<MetroId>, std::set<MetroId>>;  // direct, transit
+  bool inconsistent(const Sets& ev, GeoScope g) const {
+    for (MetroId d : ev.first)
+      for (MetroId t : ev.second)
+        if (static_cast<int>(net_->metro_scope(d, t)) <= static_cast<int>(g))
+          return true;
+    return false;
+  }
+  const topology::Internet* net_;
+  std::map<std::uint64_t, Sets> pairs_;
+};
+
+// Random observations over a few ASes so pairs collect several metros of
+// both kinds, including ungeolocated (-1) ones the tracker must skip.
+TraceObservations random_obs(util::Rng& rng, int num_ases, int num_metros) {
+  auto metro = [&] { return rng.uniform_int(-1, num_metros - 1); };
+  TraceObservations o;
+  const int links = rng.uniform_int(0, 3);
+  for (int k = 0; k < links; ++k) {
+    AsId a = rng.uniform_int(0, num_ases - 1), b = rng.uniform_int(0, num_ases - 1);
+    if (a != b) o.links.push_back({a, b, metro(), false});
+  }
+  const int transits = rng.uniform_int(0, 3);
+  for (int k = 0; k < transits; ++k) {
+    AsId a = rng.uniform_int(0, num_ases - 1), b = rng.uniform_int(0, num_ases - 1);
+    if (a != b) o.transits.push_back({a, b, 99, metro(), metro()});
+  }
+  return o;
+}
+
+void expect_matches_reference(const ConsistencyTracker& t,
+                              const ReferenceConsistency& ref, int num_ases,
+                              const std::vector<std::vector<AsId>>& universes) {
+  for (int gi = 0; gi < topology::kNumGeoScopes; ++gi) {
+    const auto g = static_cast<GeoScope>(gi);
+    for (AsId a = 0; a < num_ases; ++a)
+      for (AsId b = 0; b < num_ases; ++b)
+        ASSERT_EQ(t.pair_inconsistent(a, b, g), ref.pair_inconsistent(a, b, g))
+            << "pair " << a << "-" << b << " scope " << gi;
+    for (const auto& u : universes)
+      ASSERT_EQ(t.consistent_set(g, u), ref.consistent_set(g, u)) << "scope " << gi;
+  }
+}
+
+TEST_F(ConsistencyTest, IndexMatchesBruteForceAfterRandomIngest) {
+  constexpr int kAses = 24;
+  const int metros = static_cast<int>(net_->metros.size());
+  std::vector<std::vector<AsId>> universes(3);
+  for (AsId a = 0; a < kAses; ++a) universes[0].push_back(a);
+  for (AsId a = kAses - 1; a >= 0; a -= 2) universes[1].push_back(a);  // reordered subset
+  universes[2] = {3, 40, 7, 11, 5};  // includes an AS with no evidence
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    util::Rng rng(seed);
+    ConsistencyTracker t(*net_);
+    ReferenceConsistency ref(*net_);
+    for (int step = 0; step < 400; ++step) {
+      TraceObservations o = random_obs(rng, kAses, metros);
+      t.ingest(o);
+      ref.ingest(o);
+      if (step % 100 == 99)
+        expect_matches_reference(t, ref, kAses, universes);
+    }
+    // A fresh tracker loaded from the checkpoint rebuilds the same index,
+    // re-saves the same bytes, and keeps it exact under further ingest.
+    util::checkpoint::Encoder enc;
+    t.save(enc);
+    ConsistencyTracker loaded(*net_);
+    util::checkpoint::Decoder dec(enc.data());
+    loaded.load(dec);
+    util::checkpoint::Encoder again;
+    loaded.save(again);
+    EXPECT_EQ(enc.data(), again.data());
+    expect_matches_reference(loaded, ref, kAses, universes);
+    for (int step = 0; step < 100; ++step) {
+      TraceObservations o = random_obs(rng, kAses, metros);
+      loaded.ingest(o);
+      ref.ingest(o);
+    }
+    expect_matches_reference(loaded, ref, kAses, universes);
+  }
 }
 
 TEST(WellPositioned, NeverIssuedIsWellPositioned) {

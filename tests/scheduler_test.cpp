@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "test_world.hpp"
+#include "util/checkpoint.hpp"
 
 namespace metas::core {
 namespace {
@@ -125,6 +126,51 @@ TEST_F(SchedulerTest, MeasurementsImproveCoverage) {
   sched.fill_rows_to(8, 600);
   EstimatedMatrix after = w.ms->build_matrix(*ctx_);
   EXPECT_GE(after.total_filled(), before.total_filled());
+}
+
+TEST_F(SchedulerTest, ContextsWithFewerThanTwoAsesRunEmptyBatches) {
+  // A metro with zero or one AS has no entries: every policy must return an
+  // empty batch (no unbounded explore sweep, no Rng::index(0) throw), and a
+  // campaign ends at once without spending budget.
+  auto& w = testing::shared_world();
+  for (std::size_t keep : {std::size_t{0}, std::size_t{1}}) {
+    topology::Internet net = w.net;
+    net.metros.at(static_cast<std::size_t>(ctx_->metro())).ases.resize(keep);
+    MetroContext tiny(net, ctx_->metro());
+    ASSERT_EQ(tiny.size(), keep);
+    for (SelectionPolicy p :
+         {SelectionPolicy::kMetascritic, SelectionPolicy::kOnlyExploit,
+          SelectionPolicy::kOnlyExplore, SelectionPolicy::kRandom,
+          SelectionPolicy::kGreedy, SelectionPolicy::kIxpMapped}) {
+      ProbabilityMatrix pm(tiny, *w.ms, nullptr);
+      MeasurementScheduler sched(tiny, *w.ms, pm, cfg_with(p));
+      BatchResult got = sched.run_batch(EstimatedMatrix(keep), 3);
+      EXPECT_EQ(got.selected, 0u) << "keep=" << keep;
+      EXPECT_EQ(got.launched, 0u) << "keep=" << keep;
+      EXPECT_TRUE(sched.history().empty()) << "keep=" << keep;
+      EXPECT_EQ(sched.fill_rows_to(3, 100), 0u) << "keep=" << keep;
+      EXPECT_TRUE(sched.history().empty()) << "keep=" << keep;
+    }
+  }
+}
+
+TEST_F(SchedulerTest, LoadRejectsEntryKeysOutsideTheMetro) {
+  // Per-entry state is dense over the metro's n x n keys, so a checkpoint
+  // from a larger metro cannot be loaded into a smaller one.
+  auto& w = testing::shared_world();
+  MeasurementScheduler big(*ctx_, *w.ms, *pm_,
+                           cfg_with(SelectionPolicy::kOnlyExplore, 10));
+  ASSERT_GT(big.run_batch(w.ms->build_matrix(*ctx_), 10).selected, 0u);
+  util::checkpoint::Encoder enc;
+  big.save(enc);
+
+  topology::Internet net = w.net;
+  net.metros.at(static_cast<std::size_t>(ctx_->metro())).ases.resize(2);
+  MetroContext tiny(net, ctx_->metro());
+  ProbabilityMatrix pm(tiny, *w.ms, nullptr);
+  MeasurementScheduler small(tiny, *w.ms, pm, cfg_with(SelectionPolicy::kOnlyExplore));
+  util::checkpoint::Decoder dec(enc.data());
+  EXPECT_THROW(small.load(dec), util::checkpoint::CheckpointError);
 }
 
 TEST_F(SchedulerTest, InterleavedSchedulersEachCountOnlyTheirOwnProbes) {

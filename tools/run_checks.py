@@ -7,6 +7,8 @@ Runs, in order:
   lint-selftest   tests/lint_selftest.py (golden lint fixtures)
   trace-diff      tests/trace_diff_selftest.py (golden trace fixtures for
                   tools/trace_diff.py)
+  export-identity tests/check_export_identity_selftest.py (stand-in CLIs for
+                  tools/check_export_identity.py)
   thread-safety   tools/check_annotations.py (MAC_* annotation coverage +
                   clang -Wthread-safety replay when available)
   numeric-safety  tools/check_numeric.py (R12-R14 + conversion-warning replay)
@@ -46,6 +48,7 @@ CHECKS: list[tuple[str, list[str], str | None]] = [
     ("lint", ["tools/lint.py"], None),
     ("lint-selftest", ["tests/lint_selftest.py"], None),
     ("trace-diff", ["tests/trace_diff_selftest.py"], None),
+    ("export-identity", ["tests/check_export_identity_selftest.py"], None),
     ("thread-safety", ["tools/check_annotations.py"], "--require-clang"),
     ("numeric-safety", ["tools/check_numeric.py"], "--require-compile"),
     ("lifetime", ["tools/check_lifetime.py"], "--require-clang"),
