@@ -7,6 +7,7 @@
 // completed rating for an AS pair is the symmetrized clamped inner product.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -75,18 +76,27 @@ class AlsCompleter {
  private:
   /// Refits one factor side; returns the summed |delta| of updated entries
   /// (the per-iteration convergence signal surfaced via telemetry).
-  double solve_side(const std::vector<std::vector<std::size_t>>& obs_cols,
-                    const std::vector<std::vector<double>>& obs_vals,
-                    const std::vector<std::vector<double>>& obs_wts,
-                    const linalg::Matrix& fixed, linalg::Matrix& solved);
+  double solve_side(const linalg::Matrix& fixed, linalg::Matrix& solved);
+  /// solve_side's body with the rank as a compile-time constant R, or read
+  /// from the config when R == 0.
+  template <std::size_t R>
+  double solve_side_rank(const linalg::Matrix& fixed, linalg::Matrix& solved,
+                         std::size_t& rows_solved,
+                         std::size_t& rows_degenerate);
 
   std::size_t n_ = 0;       // AS count
   std::size_t total_ = 0;   // n + feature count
   AlsConfig cfg_;
   linalg::Matrix p_, q_;    // total_ x rank factors
-  // Augmented observation lists built at fit() time.
-  std::vector<std::vector<std::size_t>> cols_;
-  std::vector<std::vector<double>> vals_, wts_;
+  // The rating entries of the last fit() in CSR form: AS row i observes
+  // cols_/vals_/wts_[start_[i] .. start_[i+1]), in `observed` order.  The
+  // feature entries are read in place from *features_.
+  std::vector<std::size_t> start_, cols_;
+  std::vector<double> vals_, wts_;
+  // Row-solve buffers, sized by fit(): the rank x rank factor, the
+  // right-hand side and, for ranks read at run time, the weighted factor row
+  // and the packed Gram triangle.
+  std::vector<double> scratch_;
   const FeatureMatrix* features_;  // lint: allow(view-member) -- caller-owned matrix bound at fit() time; solvers are transient helpers
   const util::RunControl* control_ = nullptr;  // lint: allow(view-member) -- optional stop control owned by the pipeline's caller; may be null
   int iterations_run_ = 0;

@@ -3,11 +3,23 @@
 // argmin_x ||A x - b||^2 + lambda ||x||^2.
 #pragma once
 
+#include <cstddef>
 #include <optional>
 
 #include "linalg/matrix.hpp"
 
 namespace metas::linalg {
+
+/// In-place Cholesky factorization of the row-major n x n SPD matrix `a`,
+/// reading only its lower triangle.  On success the lower triangle (diagonal
+/// included) holds L with A = L L^T and the strict upper triangle is left as
+/// it was.  Returns false, with `a` partly overwritten, if A is not
+/// (numerically) positive definite.  Allocates nothing.
+bool cholesky_factor_inplace(double* a, std::size_t n);
+
+/// Solves L L^T x = b in place (`b` becomes x), where `l` is a factor written
+/// by cholesky_factor_inplace.  Allocates nothing.
+void cholesky_substitute_inplace(const double* l, double* b, std::size_t n);
 
 /// Cholesky factorization A = L L^T of a symmetric positive-definite matrix.
 /// Returns std::nullopt if A is not (numerically) positive definite.

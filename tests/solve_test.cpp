@@ -1,6 +1,9 @@
 // Tests for Cholesky and ridge solvers.
 #include "linalg/solve.hpp"
 
+#include <cmath>
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "util/rng.hpp"
@@ -101,6 +104,97 @@ TEST_P(SolveResidualTest, ResidualIsTiny) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, SolveResidualTest, ::testing::Range(1, 8));
+
+// Reference for the in-place routines: the Matrix-based factorization and
+// substitution written before they existed.  The in-place pair must
+// reproduce them bit for bit.
+std::optional<Matrix> reference_cholesky(const Matrix& a) {
+  const std::size_t n = a.rows();
+  Matrix l(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j <= i; ++j) {
+      double s = a(i, j);
+      for (std::size_t k = 0; k < j; ++k) s -= l(i, k) * l(j, k);
+      if (i == j) {
+        if (s <= 0.0 || !std::isfinite(s)) return std::nullopt;
+        l(i, i) = std::sqrt(s);
+      } else {
+        l(i, j) = s / l(j, j);
+      }
+    }
+  }
+  return l;
+}
+
+std::optional<Vector> reference_solve_spd(const Matrix& a, const Vector& b) {
+  auto lopt = reference_cholesky(a);
+  if (!lopt) return std::nullopt;
+  const Matrix& l = *lopt;
+  const std::size_t n = a.rows();
+  Vector y(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    double s = b[i];
+    for (std::size_t k = 0; k < i; ++k) s -= l(i, k) * y[k];
+    y[i] = s / l(i, i);
+  }
+  Vector x(n);
+  for (std::size_t ii = n; ii-- > 0;) {
+    double s = y[ii];
+    for (std::size_t k = ii + 1; k < n; ++k) s -= l(k, ii) * x[k];
+    x[ii] = s / l(ii, ii);
+  }
+  return x;
+}
+
+TEST(CholeskyInplace, BitIdenticalToReference) {
+  util::Rng rng(29);
+  for (std::size_t n = 1; n <= 20; ++n) {
+    const Matrix a = random_spd(n, rng, 0.05);
+    Vector b(n);
+    for (double& v : b) v = rng.normal();
+    const auto ref_l = reference_cholesky(a);
+    const auto ref_x = reference_solve_spd(a, b);
+    ASSERT_TRUE(ref_l && ref_x) << "n=" << n;
+
+    Matrix work = a;
+    ASSERT_TRUE(cholesky_factor_inplace(work.data().data(), n)) << "n=" << n;
+    for (std::size_t i = 0; i < n; ++i)
+      for (std::size_t j = 0; j < n; ++j)
+        EXPECT_EQ(work(i, j), j <= i ? (*ref_l)(i, j) : a(i, j))
+            << "n=" << n << " (" << i << "," << j << ")";
+    Vector x = b;
+    cholesky_substitute_inplace(work.data().data(), x.data(), n);
+    for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(x[i], (*ref_x)[i]) << "n=" << n;
+
+    // The Matrix wrappers are the same routines.
+    const auto l = cholesky(a);
+    ASSERT_TRUE(l.has_value());
+    EXPECT_EQ(l->data(), ref_l->data()) << "n=" << n;
+    EXPECT_EQ(solve_spd(a, b), ref_x) << "n=" << n;
+    Matrix ridged = a;
+    for (std::size_t i = 0; i < n; ++i) ridged(i, i) += 0.3;
+    EXPECT_EQ(solve_regularized(a, b, 0.3), reference_solve_spd(ridged, b))
+        << "n=" << n;
+  }
+}
+
+TEST(CholeskyInplace, RejectsIndefiniteAndNaN) {
+  Matrix indefinite(2, 2);
+  indefinite(0, 0) = 1; indefinite(0, 1) = 2;
+  indefinite(1, 0) = 2; indefinite(1, 1) = 1;
+  Matrix nan_diag = Matrix::identity(3);
+  nan_diag(2, 2) = std::numeric_limits<double>::quiet_NaN();
+  Matrix nan_offdiag = Matrix::identity(3);
+  nan_offdiag(2, 0) = nan_offdiag(0, 2) =
+      std::numeric_limits<double>::quiet_NaN();
+  for (const Matrix* m : {&indefinite, &nan_diag, &nan_offdiag}) {
+    EXPECT_FALSE(reference_cholesky(*m).has_value());
+    Matrix work = *m;
+    EXPECT_FALSE(cholesky_factor_inplace(work.data().data(), m->rows()));
+    EXPECT_FALSE(cholesky(*m).has_value());
+    EXPECT_FALSE(solve_spd(*m, Vector(m->rows(), 1.0)).has_value());
+  }
+}
 
 }  // namespace
 }  // namespace metas::linalg

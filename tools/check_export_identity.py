@@ -3,9 +3,10 @@
 
   python3 tools/check_export_identity.py CLI_A CLI_B
 
-Runs both binaries on the canonical seed-42 all-metros campaign, once at
-the default scale and once with `--fault-profile flaky`, and compares the
-three CSV exports of every metro (`<metro>_links.csv`, `_ratings.csv`,
+Runs both binaries on the canonical seed-42 all-metros campaign, at the
+default scale, with `--fault-profile flaky` and at `--scale paper` (whose
+fits reach ranks the default run does not), and compares the three CSV
+exports of every metro (`<metro>_links.csv`, `_ratings.csv`,
 `_measurements.csv`) byte for byte.  Each run writes into its own temporary
 directory under the same relative `--out` name, so stdout is compared too.
 
@@ -26,6 +27,7 @@ import tempfile
 RUNS = {
     "default": ["--seed", "42", "--all-metros"],
     "flaky": ["--seed", "42", "--all-metros", "--fault-profile", "flaky"],
+    "paper": ["--seed", "42", "--all-metros", "--scale", "paper"],
 }
 EXPORT_SUFFIXES = ("_links.csv", "_ratings.csv", "_measurements.csv")
 
