@@ -5,8 +5,8 @@
 //
 // R12 is the textual half of the float-equality gate: it catches ==/!=
 // against a floating-point literal.  Variable-vs-variable compares are the
-// numeric-safety preset's job (-Wfloat-equal), mirroring how R9's textual
-// pass and -Wthread-safety split the concurrency checks.
+// numeric replay profile's job (-Wfloat-equal), mirroring how R9's text
+// rule and -Wthread-safety split the concurrency checks.
 namespace fixture {
 
 bool hits(double x, float w) {

@@ -3,17 +3,17 @@
 
 Runs, in order:
 
-  lint            tools/lint.py (rules R1-R19 over the whole tree)
+  lint            tools/lint.py (rules R1-R20 over the whole tree)
   lint-selftest   tests/lint_selftest.py (golden lint fixtures)
   trace-diff      tests/trace_diff_selftest.py (golden trace fixtures for
                   tools/trace_diff.py)
   export-identity tests/check_export_identity_selftest.py (stand-in CLIs for
                   tools/check_export_identity.py)
-  thread-safety   tools/check_annotations.py (MAC_* annotation coverage +
-                  clang -Wthread-safety replay when available)
-  numeric-safety  tools/check_numeric.py (R12-R14 + conversion-warning replay)
-  lifetime        tools/check_lifetime.py (R15-R17 + dangling-warning replay
-                  + clang-tidy lifetime checks)
+  replay-selftest tests/check_replay_selftest.py (stand-in compilers for
+                  tools/check_replay.py)
+  compile-replay  tools/check_replay.py (thread-safety, numeric and lifetime
+                  warning replays of the compile database + clang-tidy
+                  lifetime checks)
   crash-recovery  tools/check_crash_recovery.py (checkpoint envelope +
                   crash-injection ctest suites; needs a build tree)
 
@@ -21,9 +21,9 @@ and prints one pass/fail/skip line per check plus a summary table.  Each
 check degrades the same way it does in CI: compiler-backed passes skip with
 a notice on machines without clang, so the runner is useful on any box.
 
-With --strict every check runs with its --require-clang / --require-compile
-flag, turning missing tooling into failures -- this is exactly what the CI
-lanes enforce.
+With --strict every check runs with its strict flag (--strict /
+--require-build), turning missing tooling into failures -- this is exactly
+what the CI lanes enforce.
 
 Exit codes: 0 = every check passed (or skipped its optional half),
 1 = at least one check failed.
@@ -31,7 +31,7 @@ Exit codes: 0 = every check passed (or skipped its optional half),
 Usage:
   tools/run_checks.py                # run everything, tolerate missing clang
   tools/run_checks.py --strict       # CI semantics
-  tools/run_checks.py --only lint --only lifetime
+  tools/run_checks.py --only lint --only compile-replay
 """
 from __future__ import annotations
 
@@ -49,9 +49,8 @@ CHECKS: list[tuple[str, list[str], str | None]] = [
     ("lint-selftest", ["tests/lint_selftest.py"], None),
     ("trace-diff", ["tests/trace_diff_selftest.py"], None),
     ("export-identity", ["tests/check_export_identity_selftest.py"], None),
-    ("thread-safety", ["tools/check_annotations.py"], "--require-clang"),
-    ("numeric-safety", ["tools/check_numeric.py"], "--require-compile"),
-    ("lifetime", ["tools/check_lifetime.py"], "--require-clang"),
+    ("replay-selftest", ["tests/check_replay_selftest.py"], None),
+    ("compile-replay", ["tools/check_replay.py"], "--strict"),
     ("crash-recovery", ["tools/check_crash_recovery.py"], "--require-build"),
 ]
 
