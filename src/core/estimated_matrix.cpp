@@ -42,16 +42,6 @@ void EstimatedMatrix::set(std::size_t i, std::size_t j, double v) {
   ++row_count_[j];
 }
 
-void EstimatedMatrix::clear(std::size_t i, std::size_t j) {
-  if (i >= n_ || j >= n_) throw std::out_of_range("EstimatedMatrix::clear");
-  std::size_t a = i * n_ + j, b = j * n_ + i;
-  if (mask_[a] == 0) return;
-  mask_[a] = mask_[b] = 0;
-  values_[a] = values_[b] = 0.0;
-  --row_count_[i];
-  --row_count_[j];
-}
-
 std::size_t EstimatedMatrix::total_filled() const {
   std::size_t c = 0;
   for (std::size_t i = 0; i < n_; ++i) c += row_count_[i];

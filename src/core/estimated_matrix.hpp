@@ -36,9 +36,6 @@ class EstimatedMatrix {
   /// larger |value| (§3.4). Diagonal writes are rejected.
   void set(std::size_t i, std::size_t j, double v);
 
-  /// Unconditionally clears an entry (used by train/test splitting).
-  void clear(std::size_t i, std::size_t j);
-
   /// Number of filled entries in row i (excluding the diagonal).
   std::size_t row_filled(std::size_t i) const { return row_count_[i]; }
   /// Number of filled entries in the upper triangle.

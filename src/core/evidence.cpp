@@ -30,16 +30,6 @@ const PairEvidence* EvidenceStore::find(AsId a, AsId b) const {
   return it == pairs_.end() ? nullptr : &it->second;
 }
 
-bool EvidenceStore::direct_at(AsId a, AsId b, MetroId m) const {
-  const PairEvidence* ev = find(a, b);
-  return ev != nullptr && ev->direct.count(m) != 0;
-}
-
-bool EvidenceStore::transit_at(AsId a, AsId b, MetroId m) const {
-  const PairEvidence* ev = find(a, b);
-  return ev != nullptr && ev->transit.count(m) != 0;
-}
-
 std::vector<std::uint64_t> EvidenceStore::sorted_keys() const {
   std::vector<std::uint64_t> keys;
   keys.reserve(pairs_.size());

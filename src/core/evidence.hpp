@@ -42,11 +42,6 @@ class EvidenceStore {
   const PairEvidence* find(AsId a, AsId b) const;
   std::size_t pairs() const { return pairs_.size(); }
 
-  /// True if the pair has direct evidence at exactly this metro.
-  bool direct_at(AsId a, AsId b, MetroId m) const;
-  /// True if the pair has (well-positioned) transit evidence at this metro.
-  bool transit_at(AsId a, AsId b, MetroId m) const;
-
   const std::unordered_map<std::uint64_t, PairEvidence>& all() const {
     return pairs_;
   }

@@ -39,6 +39,26 @@ void holdout_split(const EstimatedMatrix& e, int per_row, util::Rng& rng,
   }
 }
 
+// Records candidate `r`'s holdout MSE and applies the acceptance rule:
+// the first candidate is always accepted, a later one must beat the best
+// MSE by max(min_improvement, rel_improvement * best).  Returns true once
+// `patience` candidates in a row have failed to.
+bool accept_rank(const RankEstimatorConfig& cfg, int r, double mse,
+                 double& best, int& no_improve, RankEstimateResult& res) {
+  res.history.emplace_back(r, mse);
+  double needed = best > 1e29 ? 0.0
+                              : std::max(cfg.min_improvement,
+                                         cfg.rel_improvement * best);
+  if (mse < best - needed) {
+    best = mse;
+    res.best_rank = r;
+    res.best_mse = mse;
+    no_improve = 0;
+    return false;
+  }
+  return ++no_improve >= cfg.patience;
+}
+
 }  // namespace
 
 double RankEstimator::holdout_mse_once(const EstimatedMatrix& e, int rank,
@@ -145,19 +165,7 @@ RankEstimateResult RankEstimator::run(MeasurementScheduler* scheduler,
     EstimatedMatrix e = ms.build_matrix(*ctx_);
     double mse = holdout_mse(e, r, rng);
     MAC_HISTOGRAM("pipeline.rank_holdout_mse", mse);
-    res.history.emplace_back(r, mse);
-    double needed = best > 1e29 ? 0.0  // first candidate always accepted
-                                : std::max(cfg_.min_improvement,
-                                           cfg_.rel_improvement * best);
-    bool stop = false;
-    if (mse < best - needed) {
-      best = mse;
-      res.best_rank = r;
-      res.best_mse = mse;
-      no_improve = 0;
-    } else if (++no_improve >= cfg_.patience) {
-      stop = true;
-    }
+    const bool stop = accept_rank(cfg_, r, mse, best, no_improve, res);
     if (opts.on_iteration) {
       // Rank boundary: hand the caller everything a resume at this exact
       // point needs, including whether the loop already decided to stop
@@ -185,19 +193,8 @@ RankEstimateResult RankEstimator::run_static(const EstimatedMatrix& e) {
   double best = 1e30;
   int no_improve = 0;
   for (int r = 1; r <= cfg_.max_rank; ++r) {
-    double mse = holdout_mse(e, r, rng);
-    res.history.emplace_back(r, mse);
-    double needed = best > 1e29 ? 0.0  // first candidate always accepted
-                                : std::max(cfg_.min_improvement,
-                                           cfg_.rel_improvement * best);
-    if (mse < best - needed) {
-      best = mse;
-      res.best_rank = r;
-      res.best_mse = mse;
-      no_improve = 0;
-    } else if (++no_improve >= cfg_.patience) {
+    if (accept_rank(cfg_, r, holdout_mse(e, r, rng), best, no_improve, res))
       break;
-    }
   }
   return res;
 }

@@ -100,16 +100,6 @@ AsId BorderMapper::map(Ip ip) const {
   return naive_map(ip);
 }
 
-std::vector<AsId> BorderMapper::as_path(const IpTraceResult& trace) const {
-  std::vector<AsId> path;
-  for (const auto& h : trace.hops) {
-    AsId as = h.responsive ? map(h.ip) : kInvalidAs;
-    if (!path.empty() && path.back() == as) continue;
-    path.push_back(as);
-  }
-  return path;
-}
-
 MetroId InterfaceGeolocator::locate(Ip ip, const std::string& rdns) const {
   // 1. IXP peering-LAN prefix: the IXP's metro.
   if (auto ixp_id = ixp_prefixes_->lookup(ip)) {

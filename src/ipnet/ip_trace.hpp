@@ -58,10 +58,6 @@ class BorderMapper {
   /// Corrected owner.
   topology::AsId map(Ip ip) const;
 
-  /// Maps a whole trace to an AS path (consecutive duplicates collapsed,
-  /// unresponsive hops yield kInvalidAs placeholders).
-  std::vector<topology::AsId> as_path(const IpTraceResult& trace) const;
-
   std::size_t interfaces_seen() const { return votes_.size(); }
 
  private:

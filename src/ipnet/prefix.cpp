@@ -24,22 +24,6 @@ Ip Prefix::mask() const {
 
 bool Prefix::contains(Ip ip) const { return (ip & mask()) == addr; }
 
-bool Prefix::contains(const Prefix& other) const {
-  return other.len >= len && contains(other.addr);
-}
-
-std::uint64_t Prefix::size() const { return 1ULL << (32 - len); }
-
-std::string ip_to_string(Ip ip) {
-  return std::to_string((ip >> 24) & 0xff) + "." +
-         std::to_string((ip >> 16) & 0xff) + "." +
-         std::to_string((ip >> 8) & 0xff) + "." + std::to_string(ip & 0xff);
-}
-
-std::string Prefix::to_string() const {
-  return ip_to_string(addr) + "/" + std::to_string(len);
-}
-
 void PrefixTable::insert(const Prefix& p, int owner) {
   auto [it, inserted] = entries_.insert_or_assign(key_of(p.addr, p.len), owner);
   if (inserted) ++count_;
@@ -52,15 +36,6 @@ std::optional<int> PrefixTable::lookup(Ip ip) const {
     Ip masked = len == 0 ? 0 : (ip & mac::checked_cast<Ip>(~0u << (32 - len)));
     auto it = entries_.find(key_of(masked, len));
     if (it != entries_.end()) return it->second;
-  }
-  return std::nullopt;
-}
-
-std::optional<Prefix> PrefixTable::lookup_prefix(Ip ip) const {
-  for (int len = 32; len >= 0; --len) {
-    if (!lens_present_[mac::checked_cast<std::size_t>(len)]) continue;
-    Ip masked = len == 0 ? 0 : (ip & mac::checked_cast<Ip>(~0u << (32 - len)));
-    if (entries_.count(key_of(masked, len)) != 0) return Prefix(masked, len);
   }
   return std::nullopt;
 }

@@ -26,19 +26,12 @@ struct Prefix {
   Prefix(Ip address, int length);
 
   bool contains(Ip ip) const;
-  bool contains(const Prefix& other) const;
   Ip mask() const;
-  /// Number of addresses covered (saturates at 2^32 for len 0).
-  std::uint64_t size() const;
-  /// Dotted-quad "a.b.c.d/len".
-  std::string to_string() const;
 
   bool operator==(const Prefix& o) const {
     return addr == o.addr && len == o.len;
   }
 };
-
-std::string ip_to_string(Ip ip);
 
 /// Longest-prefix-match table mapping prefixes to an integer owner id
 /// (an AS number here). Lookup is O(32) hash probes.
@@ -49,8 +42,6 @@ class PrefixTable {
 
   /// Longest-prefix match; nullopt when no covering prefix exists.
   std::optional<int> lookup(Ip ip) const;
-  /// The matched prefix itself (for IXP-prefix detection).
-  std::optional<Prefix> lookup_prefix(Ip ip) const;
 
   std::size_t size() const { return count_; }
 

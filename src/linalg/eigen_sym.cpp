@@ -112,19 +112,14 @@ Vector singular_values(const Matrix& a) {
   return sv;
 }
 
-std::size_t rank_above(const Vector& singular, double threshold) {
-  MAC_REQUIRE(threshold >= 0.0, "threshold=", threshold);
-  std::size_t r = 0;
-  for (double s : singular)
-    if (s > threshold) ++r;
-  MAC_ENSURE(r <= singular.size());
-  return r;
-}
-
 std::size_t effective_rank_threshold(const Matrix& a, double rel_tol) {
   Vector sv = singular_values(a);
   if (sv.empty() || sv.front() <= 0.0) return 0;
-  return rank_above(sv, rel_tol * sv.front());
+  MAC_REQUIRE(rel_tol >= 0.0, "rel_tol=", rel_tol);
+  std::size_t r = 0;
+  for (double s : sv)
+    if (s > rel_tol * sv.front()) ++r;
+  return r;
 }
 
 double effective_rank_entropy(const Matrix& a) {

@@ -34,9 +34,6 @@ EigenSym eigen_symmetric(Matrix a, int max_sweeps = 64, double tol = 1e-12);
 /// sqrt of the eigenvalues of A^T A (or A A^T, whichever is smaller).
 Vector singular_values(const Matrix& a);
 
-/// Number of singular values strictly above `threshold`.
-std::size_t rank_above(const Vector& singular, double threshold);
-
 /// Threshold-relative effective rank: number of singular values above
 /// `rel_tol * sigma_max`. This matches the paper's IXP-matrix measurement
 /// ("rank ranges between 3.7% and 26% of the matrix dimension").

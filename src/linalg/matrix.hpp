@@ -41,28 +41,14 @@ class Matrix {
     return data_[r * cols_ + c];
   }
 
-  /// Bounds-checked access (throws std::out_of_range).
-  double& at(std::size_t r, std::size_t c);
-  double at(std::size_t r, std::size_t c) const;
-
   const std::vector<double>& data() const { return data_; }
   std::vector<double>& data() { return data_; }
-
-  /// Returns row r as a copy.
-  Vector row(std::size_t r) const;
-  /// Returns column c as a copy.
-  Vector col(std::size_t c) const;
-  void set_row(std::size_t r, const Vector& v);
 
   Matrix transpose() const;
 
   /// Matrix product; throws std::invalid_argument on inner-dimension mismatch.
   Matrix operator*(const Matrix& other) const;
   Vector operator*(const Vector& v) const;
-  Matrix operator+(const Matrix& other) const;
-  Matrix operator-(const Matrix& other) const;
-  Matrix& operator+=(const Matrix& other);
-  Matrix& operator*=(double s);
 
   /// Frobenius norm.
   double frobenius_norm() const;
@@ -79,11 +65,5 @@ class Matrix {
   std::size_t rows_ = 0, cols_ = 0;
   std::vector<double> data_;
 };
-
-/// Dot product; throws on size mismatch.
-double dot(const Vector& a, const Vector& b);
-
-/// Euclidean norm.
-double norm(const Vector& a);
 
 }  // namespace metas::linalg

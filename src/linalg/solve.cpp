@@ -51,16 +51,6 @@ void cholesky_substitute_inplace(const double* l, double* b, std::size_t n) {
   }
 }
 
-std::optional<Matrix> cholesky(const Matrix& a) {
-  if (!a.is_square()) throw std::invalid_argument("cholesky: non-square matrix");
-  const std::size_t n = a.rows();
-  Matrix l = a;
-  if (!cholesky_factor_inplace(l.data().data(), n)) return std::nullopt;
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = i + 1; j < n; ++j) l(i, j) = 0.0;
-  return l;
-}
-
 std::optional<Vector> solve_spd(const Matrix& a, const Vector& b) {
   if (a.rows() != b.size())
     throw std::invalid_argument("solve_spd: shape mismatch");
@@ -70,17 +60,6 @@ std::optional<Vector> solve_spd(const Matrix& a, const Vector& b) {
   Vector x = b;
   cholesky_substitute_inplace(l.data().data(), x.data(), a.rows());
   return x;
-}
-
-std::optional<Vector> ridge_solve(const Matrix& a, const Vector& b,
-                                  double lambda) {
-  if (a.rows() != b.size())
-    throw std::invalid_argument("ridge_solve: shape mismatch");
-  Matrix g = a.gram();
-  Vector rhs(a.cols(), 0.0);
-  for (std::size_t j = 0; j < a.cols(); ++j)
-    for (std::size_t i = 0; i < a.rows(); ++i) rhs[j] += a(i, j) * b[i];
-  return solve_regularized(std::move(g), rhs, lambda);
 }
 
 std::optional<Vector> solve_regularized(Matrix g, const Vector& rhs,

@@ -21,19 +21,9 @@ bool cholesky_factor_inplace(double* a, std::size_t n);
 /// by cholesky_factor_inplace.  Allocates nothing.
 void cholesky_substitute_inplace(const double* l, double* b, std::size_t n);
 
-/// Cholesky factorization A = L L^T of a symmetric positive-definite matrix.
-/// Returns std::nullopt if A is not (numerically) positive definite.
-std::optional<Matrix> cholesky(const Matrix& a);
-
 /// Solves A x = b for SPD A via Cholesky. Returns std::nullopt if the
 /// factorization fails. Throws std::invalid_argument on shape mismatch.
 std::optional<Vector> solve_spd(const Matrix& a, const Vector& b);
-
-/// Ridge least squares: solves (A^T A + lambda I) x = A^T b.
-/// Always succeeds for lambda > 0 on finite inputs; returns std::nullopt only
-/// if the regularized system is still numerically singular.
-std::optional<Vector> ridge_solve(const Matrix& a, const Vector& b,
-                                  double lambda);
 
 /// Solves the already-formed normal system (G + lambda I) x = rhs where G is
 /// SPD-ish (e.g. a Gram matrix accumulated by ALS).

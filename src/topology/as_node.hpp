@@ -32,7 +32,6 @@ std::string to_string(AsClass c);
 /// Self-reported peering policy (PeeringDB-style).
 enum class PeeringPolicy : std::uint8_t { kOpen, kSelective, kRestrictive, kNone };
 constexpr int kNumPeeringPolicies = 4;
-std::string to_string(PeeringPolicy p);
 
 /// Self-reported dominant traffic direction (PeeringDB-style).
 enum class TrafficProfile : std::uint8_t {

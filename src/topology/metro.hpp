@@ -21,7 +21,6 @@ enum class GeoScope : std::uint8_t {
   kElsewhere,
 };
 constexpr int kNumGeoScopes = 4;
-std::string to_string(GeoScope g);
 
 /// An Internet exchange point within a metro. Members connected to the route
 /// server form a (nearly) full peering mesh -- the rank-1 block of Appx. B.

@@ -112,11 +112,6 @@ bool WellPositionedTracker::well_positioned(int vp_id, AsId i, MetroId m) const 
   return ts != traversed_.end() && ts->second.count(key(i, m)) != 0;
 }
 
-std::size_t WellPositionedTracker::issued_by(int vp_id) const {
-  auto it = issued_.find(vp_id);
-  return it == issued_.end() ? 0 : it->second;
-}
-
 void ConsistencyTracker::save(util::checkpoint::Encoder& enc) const {
   std::vector<std::uint64_t> keys;
   keys.reserve(pair_data_.size());

@@ -81,7 +81,6 @@ class WellPositionedTracker {
   void ingest(const TraceResult& trace);
 
   bool well_positioned(int vp_id, topology::AsId i, topology::MetroId m) const;
-  std::size_t issued_by(int vp_id) const;
 
   /// Checkpoint serialization in sorted-key order (byte-stable across runs).
   void save(util::checkpoint::Encoder& enc) const;

@@ -26,16 +26,6 @@ std::uint64_t mix(std::uint64_t seed, std::uint64_t salt) {
 
 }  // namespace
 
-const char* to_string(ProbeStatus s) {
-  switch (s) {
-    case ProbeStatus::kOk: return "ok";
-    case ProbeStatus::kLost: return "lost";
-    case ProbeStatus::kVpDown: return "vp_down";
-    case ProbeStatus::kRateLimited: return "rate_limited";
-  }
-  return "unknown";
-}
-
 bool FaultProfile::enabled() const {
   return outage_start > 0.0 || death > 0.0 || loss > 0.0 ||
          bucket_capacity > 0.0 || incident_start > 0.0;

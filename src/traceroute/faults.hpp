@@ -34,8 +34,6 @@ enum class ProbeStatus : std::uint8_t {
   kRateLimited,  // platform refused the probe (token bucket empty)
 };
 
-const char* to_string(ProbeStatus s);
-
 /// Fault intensities.  VP/metro state probabilities are per probe-clock
 /// tick; probe loss is per launched attempt.  The default is the inert
 /// profile: every intensity zero, `enabled()` false, and current behaviour

@@ -29,27 +29,6 @@ Strategy strategy_from_index(int idx) {
   return s;
 }
 
-std::string to_string(const Strategy& s) {
-  auto vt = [](VpTopo t) {
-    switch (t) {
-      case VpTopo::kInAs: return "InAS";
-      case VpTopo::kInCone: return "InCone";
-      case VpTopo::kOutside: return "Outside";
-    }
-    return "?";
-  };
-  auto tt = [](TargetTopo t) {
-    switch (t) {
-      case TargetTopo::kInAs: return "InAS";
-      case TargetTopo::kInCone: return "InCone";
-      case TargetTopo::kIxpAdjacent: return "IxpAdj";
-    }
-    return "?";
-  };
-  return "vp(" + topology::to_string(s.vp_geo) + "," + vt(s.vp_topo) +
-         ")->tgt(" + topology::to_string(s.tgt_geo) + "," + tt(s.tgt_topo) + ")";
-}
-
 int categorize_vp(const topology::Internet& net, const VantagePoint& vp,
                   topology::AsId i, topology::MetroId m) {
   GeoScope g = net.metro_scope(vp.metro, m);

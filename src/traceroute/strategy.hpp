@@ -42,7 +42,6 @@ struct Strategy {
 /// Dense index in [0, kNumStrategies).
 int strategy_index(const Strategy& s);
 Strategy strategy_from_index(int idx);
-std::string to_string(const Strategy& s);
 
 /// Categorizes a vantage point for link l_ijm (near side AS i at metro m).
 /// Returns the VP-category index in [0, kVpCategories).

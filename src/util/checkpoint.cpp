@@ -177,7 +177,6 @@ std::uint64_t checksum64(std::string_view data) {
 void Encoder::u32(std::uint32_t v) { put_u32(buf_, v); }
 void Encoder::u64(std::uint64_t v) { put_u64(buf_, v); }
 void Encoder::i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }  // lint: allow(unchecked-narrowing) -- twos-complement wire encoding; the wrap is the format
-void Encoder::i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }  // lint: allow(unchecked-narrowing) -- twos-complement wire encoding; the wrap is the format
 void Encoder::f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
 
 void Encoder::str(std::string_view s) {
@@ -199,7 +198,6 @@ std::uint8_t Decoder::u8() {
 std::uint32_t Decoder::u32() { return get_u32(take(4)); }
 std::uint64_t Decoder::u64() { return get_u64(take(8)); }
 std::int32_t Decoder::i32() { return static_cast<std::int32_t>(u32()); }  // lint: allow(unchecked-narrowing) -- twos-complement wire decoding; inverse of Encoder::i32
-std::int64_t Decoder::i64() { return static_cast<std::int64_t>(u64()); }  // lint: allow(unchecked-narrowing) -- twos-complement wire decoding; inverse of Encoder::i64
 double Decoder::f64() { return std::bit_cast<double>(u64()); }
 
 std::string Decoder::str() {

@@ -55,7 +55,6 @@ class Encoder {
   void u32(std::uint32_t v);
   void u64(std::uint64_t v);
   void i32(std::int32_t v);
-  void i64(std::int64_t v);
   void f64(double v);
   void str(std::string_view s);
 
@@ -83,7 +82,6 @@ class Decoder {
   std::uint32_t u32();
   std::uint64_t u64();
   std::int32_t i32();
-  std::int64_t i64();
   double f64();
   std::string str();
 

@@ -17,19 +17,9 @@ double Confusion::recall() const {
                         : static_cast<double>(tp) / static_cast<double>(tp + fn);
 }
 
-double Confusion::fpr() const {
-  return (fp + tn) == 0 ? 0.0
-                        : static_cast<double>(fp) / static_cast<double>(fp + tn);
-}
-
 double Confusion::f_score() const {
   double p = precision(), r = recall();
   return mac::exact_zero(p + r) ? 0.0 : 2.0 * p * r / (p + r);
-}
-
-double Confusion::accuracy() const {
-  std::size_t total = tp + fp + tn + fn;
-  return total == 0 ? 0.0 : static_cast<double>(tp + tn) / static_cast<double>(total);
 }
 
 Confusion confusion_at(const std::vector<Scored>& data, double threshold) {
@@ -121,20 +111,6 @@ double auc(const std::vector<Scored>& data) {
   // Close the curve at (1,1) if the sweep stopped early.
   if (pts.back().x < 1.0) area += (1.0 - pts.back().x) * pts.back().y;
   return area;
-}
-
-double best_f_threshold(const std::vector<Scored>& data, double lo, double hi,
-                        int steps) {
-  double best_t = lo, best_f = -1.0;
-  for (int i = 0; i <= steps; ++i) {
-    double t = lo + (hi - lo) * static_cast<double>(i) / steps;
-    double f = confusion_at(data, t).f_score();
-    if (f > best_f) {
-      best_f = f;
-      best_t = t;
-    }
-  }
-  return best_t;
 }
 
 }  // namespace metas::util

@@ -28,9 +28,7 @@ struct Confusion {
   std::size_t tp = 0, fp = 0, tn = 0, fn = 0;
   double precision() const;
   double recall() const;
-  double fpr() const;
   double f_score() const;
-  double accuracy() const;
 };
 
 Confusion confusion_at(const std::vector<Scored>& data, double threshold);
@@ -47,9 +45,5 @@ double auprc(const std::vector<Scored>& data);
 
 /// Area under the ROC curve (equivalent to the rank statistic).
 double auc(const std::vector<Scored>& data);
-
-/// Threshold in [lo, hi] maximizing F-score over a uniform grid of `steps`.
-double best_f_threshold(const std::vector<Scored>& data, double lo = -1.0,
-                        double hi = 1.0, int steps = 200);
 
 }  // namespace metas::util

@@ -40,8 +40,6 @@ double percentile(std::vector<double> xs, double p) {
   return xs[lo] + frac * (xs[hi] - xs[lo]);
 }
 
-double median(std::vector<double> xs) { return percentile(std::move(xs), 50.0); }
-
 double pearson(const std::vector<double>& x, const std::vector<double>& y) {
   if (x.size() != y.size()) throw std::invalid_argument("pearson: size mismatch");
   if (x.empty()) throw std::invalid_argument("pearson: empty input");

@@ -24,9 +24,6 @@ double stddev(const std::vector<double>& xs);
 /// Throws std::invalid_argument on empty input or p out of range.
 double percentile(std::vector<double> xs, double p);
 
-/// Median shorthand.
-double median(std::vector<double> xs);
-
 /// Pearson correlation coefficient. Returns 0 when either side is constant.
 /// Throws std::invalid_argument on size mismatch or empty input.
 double pearson(const std::vector<double>& x, const std::vector<double>& y);

@@ -195,11 +195,6 @@ std::size_t Recorder::thread_count() const {
   return buffers_.size();
 }
 
-std::size_t Recorder::buffer_events() const {
-  LockGuard lock(mu_);
-  return buffer_events_;
-}
-
 void Recorder::write_chrome_json(std::ostream& os) const {
   // Buffer addresses are stable (deque of unique_ptr) and the quiescence
   // contract rules out concurrent writers, so only the pointer copy needs

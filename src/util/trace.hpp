@@ -152,7 +152,6 @@ class Recorder {
   /// Total events currently held (post-wraparound survivors).
   std::uint64_t event_count() const MAC_EXCLUDES(mu_);
   std::size_t thread_count() const MAC_EXCLUDES(mu_);
-  std::size_t buffer_events() const MAC_EXCLUDES(mu_);
 
   /// Serializes every thread's surviving events as Chrome trace-event JSON
   /// (object format: `otherData` header + `traceEvents`).  Span names are

@@ -92,6 +92,12 @@ CASES = [
     ("TU that fails to compile", {"src/a.cpp": None}, [], FULL,
      "-include /nonexistent/missing.hpp", [], 1,
      "src/a.cpp: clang++ exited 1: src/a.cpp:1:10: fatal error"),
+    ("only a versioned clang++ newer than any fixed list",
+     {"src/a.cpp": THREAD}, [], ("clang++-21",), "", [], 1,
+     "thread-safety: clang++-21 checked 1 TU(s)"),
+    ("highest-numbered versioned clang++ wins",
+     {"src/a.cpp": THREAD}, [], ("clang++-9", "clang++-21"), "", [], 1,
+     "thread-safety: clang++-21 checked 1 TU(s)"),
 ]
 
 

@@ -56,7 +56,6 @@ TEST_F(CheckpointTest, EncoderDecoderRoundtrip) {
   enc.u32(0xdeadbeefU);
   enc.u64(0x0123456789abcdefULL);
   enc.i32(-42);
-  enc.i64(-(1LL << 40));
   enc.f64(3.14159);
   enc.f64(-0.0);
   enc.str("hello checkpoint");
@@ -71,7 +70,6 @@ TEST_F(CheckpointTest, EncoderDecoderRoundtrip) {
   EXPECT_EQ(dec.u32(), 0xdeadbeefU);
   EXPECT_EQ(dec.u64(), 0x0123456789abcdefULL);
   EXPECT_EQ(dec.i32(), -42);
-  EXPECT_EQ(dec.i64(), -(1LL << 40));
   EXPECT_DOUBLE_EQ(dec.f64(), 3.14159);
   EXPECT_TRUE(std::signbit(dec.f64()));
   EXPECT_EQ(dec.str(), "hello checkpoint");

@@ -24,8 +24,6 @@ TEST(Confusion, CountsAndDerivedMetrics) {
   EXPECT_EQ(c.tn, 1u);
   EXPECT_DOUBLE_EQ(c.precision(), 0.5);
   EXPECT_DOUBLE_EQ(c.recall(), 0.5);
-  EXPECT_DOUBLE_EQ(c.fpr(), 0.5);
-  EXPECT_DOUBLE_EQ(c.accuracy(), 0.5);
   EXPECT_DOUBLE_EQ(c.f_score(), 0.5);
 }
 
@@ -34,7 +32,6 @@ TEST(Confusion, EmptyDenominatorsAreZero) {
   EXPECT_DOUBLE_EQ(c.precision(), 0.0);
   EXPECT_DOUBLE_EQ(c.recall(), 0.0);
   EXPECT_DOUBLE_EQ(c.f_score(), 0.0);
-  EXPECT_DOUBLE_EQ(c.accuracy(), 0.0);
 }
 
 TEST(Curves, PerfectClassifierAreasAreOne) {
@@ -98,13 +95,6 @@ TEST(Curves, RocCurveMonotoneBothAxes) {
     EXPECT_GE(pts[i].x, pts[i - 1].x);
     EXPECT_GE(pts[i].y, pts[i - 1].y);
   }
-}
-
-TEST(Curves, BestFThresholdSeparatesPerfectData) {
-  auto data = perfect(10, 10);
-  double t = best_f_threshold(data);
-  Confusion c = confusion_at(data, t);
-  EXPECT_DOUBLE_EQ(c.f_score(), 1.0);
 }
 
 // Property: AUC equals the probability a random positive outscores a random

@@ -42,21 +42,10 @@ TEST(EstimatedMatrix, BiggestAbsoluteValueWins) {
   EXPECT_EQ(e.total_filled(), 1u);  // still one entry
 }
 
-TEST(EstimatedMatrix, ClearRestoresUnknown) {
-  EstimatedMatrix e(3);
-  e.set(1, 2, 0.4);
-  e.clear(2, 1);
-  EXPECT_FALSE(e.filled(1, 2));
-  EXPECT_EQ(e.row_filled(1), 0u);
-  e.clear(1, 2);  // idempotent
-  EXPECT_EQ(e.total_filled(), 0u);
-}
-
 TEST(EstimatedMatrix, DiagonalAndBoundsRejected) {
   EstimatedMatrix e(3);
   EXPECT_THROW(e.set(1, 1, 1.0), std::invalid_argument);
   EXPECT_THROW(e.set(0, 3, 1.0), std::out_of_range);
-  EXPECT_THROW(e.clear(0, 3), std::out_of_range);
 }
 
 TEST(EstimatedMatrix, FilledEntriesUpperTriangle) {

@@ -173,12 +173,12 @@ TEST_F(EvidenceTest, AccessorsWork) {
   traceroute::TraceObservations obs;
   obs.links.push_back({a, b, 2, false});
   ev.ingest(trace_stub(), obs, wp);
-  EXPECT_TRUE(ev.direct_at(a, b, 2));
-  EXPECT_TRUE(ev.direct_at(b, a, 2));
-  EXPECT_FALSE(ev.direct_at(a, b, 3));
-  EXPECT_FALSE(ev.transit_at(a, b, 2));
+  const PairEvidence* pe = ev.find(a, b);
+  ASSERT_NE(pe, nullptr);
+  EXPECT_EQ(ev.find(b, a), pe);
+  EXPECT_EQ(pe->direct, (std::set<MetroId>{2}));
+  EXPECT_TRUE(pe->transit.empty());
   EXPECT_EQ(ev.pairs(), 1u);
-  EXPECT_NE(ev.find(a, b), nullptr);
   EXPECT_EQ(ev.find(a, a), nullptr);
 }
 

@@ -160,12 +160,5 @@ TEST(FaultInjectorTest, DeathIsPermanent) {
   EXPECT_EQ(inj.dead_vps(), 2u);
 }
 
-TEST(FaultInjectorTest, ProbeStatusNames) {
-  EXPECT_STREQ(to_string(ProbeStatus::kOk), "ok");
-  EXPECT_STREQ(to_string(ProbeStatus::kLost), "lost");
-  EXPECT_STREQ(to_string(ProbeStatus::kVpDown), "vp_down");
-  EXPECT_STREQ(to_string(ProbeStatus::kRateLimited), "rate_limited");
-}
-
 }  // namespace
 }  // namespace metas::traceroute

@@ -77,12 +77,8 @@ TEST(CustomerCones, CycleThrows) {
 TEST(EnumToString, AllValuesNamed) {
   for (int c = 0; c < kNumAsClasses; ++c)
     EXPECT_NE(to_string(static_cast<AsClass>(c)), "?");
-  for (int p = 0; p < kNumPeeringPolicies; ++p)
-    EXPECT_NE(to_string(static_cast<PeeringPolicy>(p)), "?");
   for (int t = 0; t < kNumTrafficProfiles; ++t)
     EXPECT_NE(to_string(static_cast<TrafficProfile>(t)), "?");
-  for (int g = 0; g < kNumGeoScopes; ++g)
-    EXPECT_NE(to_string(static_cast<GeoScope>(g)), "?");
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// Tests for Cholesky and ridge solvers.
+// Tests for the Cholesky kernels and the SPD / ridge-regularized solves.
 #include "linalg/solve.hpp"
 
 #include <cmath>
@@ -23,20 +23,21 @@ Matrix random_spd(std::size_t n, util::Rng& rng, double ridge = 0.5) {
 TEST(Cholesky, FactorizesKnownMatrix) {
   Matrix a(2, 2);
   a(0, 0) = 4; a(0, 1) = 2; a(1, 0) = 2; a(1, 1) = 3;
-  auto l = cholesky(a);
-  ASSERT_TRUE(l.has_value());
-  Matrix rec = *l * l->transpose();
+  Matrix l = a;
+  ASSERT_TRUE(cholesky_factor_inplace(l.data().data(), 2));
+  l(0, 1) = 0.0;  // L is the lower triangle
+  Matrix rec = l * l.transpose();
   EXPECT_LT(rec.max_abs_diff(a), 1e-12);
 }
 
 TEST(Cholesky, RejectsIndefinite) {
   Matrix a(2, 2);
   a(0, 0) = 1; a(0, 1) = 2; a(1, 0) = 2; a(1, 1) = 1;  // eigenvalues 3, -1
-  EXPECT_FALSE(cholesky(a).has_value());
+  EXPECT_FALSE(cholesky_factor_inplace(a.data().data(), 2));
 }
 
 TEST(Cholesky, RejectsNonSquare) {
-  EXPECT_THROW(cholesky(Matrix(2, 3)), std::invalid_argument);
+  EXPECT_THROW(solve_spd(Matrix(2, 3), Vector(2, 1.0)), std::invalid_argument);
 }
 
 TEST(SolveSpd, RecoversKnownSolution) {
@@ -60,13 +61,14 @@ TEST(RidgeSolve, ShrinksTowardZero) {
   util::Rng rng(23);
   Matrix a(30, 4);
   Vector x_true{1.0, -2.0, 0.5, 3.0};
-  Vector b(30);
-  for (std::size_t i = 0; i < 30; ++i) {
+  for (std::size_t i = 0; i < 30; ++i)
     for (std::size_t j = 0; j < 4; ++j) a(i, j) = rng.normal();
-    b[i] = dot(a.row(i), x_true) + rng.normal(0.0, 0.01);
-  }
-  auto x_small = ridge_solve(a, b, 1e-6);
-  auto x_big = ridge_solve(a, b, 1e4);
+  Vector b = a * x_true;
+  for (double& v : b) v += rng.normal(0.0, 0.01);
+  // Normal equations of argmin ||A x - b||^2 + lambda ||x||^2.
+  const Vector rhs = a.transpose() * b;
+  auto x_small = solve_regularized(a.gram(), rhs, 1e-6);
+  auto x_big = solve_regularized(a.gram(), rhs, 1e4);
   ASSERT_TRUE(x_small && x_big);
   for (std::size_t j = 0; j < 4; ++j) {
     EXPECT_NEAR((*x_small)[j], x_true[j], 0.05);
@@ -167,9 +169,6 @@ TEST(CholeskyInplace, BitIdenticalToReference) {
     for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(x[i], (*ref_x)[i]) << "n=" << n;
 
     // The Matrix wrappers are the same routines.
-    const auto l = cholesky(a);
-    ASSERT_TRUE(l.has_value());
-    EXPECT_EQ(l->data(), ref_l->data()) << "n=" << n;
     EXPECT_EQ(solve_spd(a, b), ref_x) << "n=" << n;
     Matrix ridged = a;
     for (std::size_t i = 0; i < n; ++i) ridged(i, i) += 0.3;
@@ -191,7 +190,6 @@ TEST(CholeskyInplace, RejectsIndefiniteAndNaN) {
     EXPECT_FALSE(reference_cholesky(*m).has_value());
     Matrix work = *m;
     EXPECT_FALSE(cholesky_factor_inplace(work.data().data(), m->rows()));
-    EXPECT_FALSE(cholesky(*m).has_value());
     EXPECT_FALSE(solve_spd(*m, Vector(m->rows(), 1.0)).has_value());
   }
 }

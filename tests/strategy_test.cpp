@@ -19,7 +19,6 @@ TEST_P(StrategyIndexTest, RoundTrips) {
   int idx = GetParam();
   Strategy s = strategy_from_index(idx);
   EXPECT_EQ(strategy_index(s), idx);
-  EXPECT_FALSE(to_string(s).empty());
 }
 
 INSTANTIATE_TEST_SUITE_P(All, StrategyIndexTest,

@@ -31,6 +31,9 @@ prefix), an optional `warning` (flag or tidy check name, default `*`) and an
 optional `contains` message substring, and must carry a `justification`;
 an unjustified entry is a configuration error.  Unused entries are reported.
 
+clang++ and clang-tidy are looked up by those names first, then as the
+highest-numbered clang++-N / clang-tidy-N on PATH.
+
 Without --strict, a missing compile database, clang++ or clang-tidy skips
 what needs it with a "skipping" notice (numeric and lifetime fall back to
 g++).  With --strict each of them is an error.
@@ -59,7 +62,6 @@ from typing import NamedTuple
 REPO = pathlib.Path(__file__).resolve().parent.parent
 SUPPRESSIONS_PATH = REPO / "tools" / "replay_suppressions.json"
 
-VERSIONS = ("", "-19", "-18", "-17", "-16", "-15", "-14")
 WORKERS = min(8, os.cpu_count() or 1)
 
 DIAG_RE = re.compile(
@@ -104,8 +106,18 @@ def log(msg: str) -> None:
 
 
 def which_first(name: str) -> str | None:
-    for suffix in VERSIONS:
-        path = shutil.which(name + suffix)
+    """`name` on PATH, else the highest-numbered `name-N` on PATH."""
+    versioned = re.compile(re.escape(name) + r"-(\d+)")
+    versions: set[int] = set()
+    for d in os.environ.get("PATH", "").split(os.pathsep):
+        try:
+            versions.update(int(m[1]) for f in os.listdir(d or ".")
+                            if (m := versioned.fullmatch(f)))
+        except OSError:
+            continue
+    for candidate in [name] + [f"{name}-{v}"
+                               for v in sorted(versions, reverse=True)]:
+        path = shutil.which(candidate)
         if path:
             return path
     return None

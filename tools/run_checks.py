@@ -11,6 +11,9 @@ Runs, in order:
                   tools/check_export_identity.py)
   replay-selftest tests/check_replay_selftest.py (stand-in compilers for
                   tools/check_replay.py)
+  regression-selftest
+                  tests/check_regression_selftest.py (error paths and
+                  verdicts of tools/check_regression.py)
   compile-replay  tools/check_replay.py (thread-safety, numeric and lifetime
                   warning replays of the compile database + clang-tidy
                   lifetime checks)
@@ -50,6 +53,7 @@ CHECKS: list[tuple[str, list[str], str | None]] = [
     ("trace-diff", ["tests/trace_diff_selftest.py"], None),
     ("export-identity", ["tests/check_export_identity_selftest.py"], None),
     ("replay-selftest", ["tests/check_replay_selftest.py"], None),
+    ("regression-selftest", ["tests/check_regression_selftest.py"], None),
     ("compile-replay", ["tools/check_replay.py"], "--strict"),
     ("crash-recovery", ["tools/check_crash_recovery.py"], "--require-build"),
 ]
