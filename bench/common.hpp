@@ -37,7 +37,9 @@ struct MetroRun {
 };
 
 /// Runs the metAScritic pipeline on every focus metro, chaining the
-/// hierarchical strategy priors from one metro to the next (Appx. D.6).
+/// strategy priors from one metro to the next.  The priors are complete
+/// pooling (every metro's counts summed), not the partial pooling of
+/// Appx. D.6's hierarchical model; ROADMAP item 5 tracks the difference.
 inline std::vector<MetroRun> run_all_focus_metros(
     eval::World& world, std::uint64_t seed = 7,
     core::PipelineConfig base_config = {}) {

@@ -39,10 +39,18 @@ int main() {
       best_f = f;
       best_lambda = lambda;
     }
+    // Built with +=: g++ 12 draws a false -Wrestrict from chained
+    // `"[" + string` concatenation at -O3.
+    auto interval = [](const auto& ci) {
+      std::string s = "[";
+      s += util::Table::fmt(ci.lo);
+      s += ",";
+      s += util::Table::fmt(ci.hi);
+      s += "]";
+      return s;
+    };
     t.add_row({util::Table::fmt(lambda, 1), util::Table::fmt(pci.point),
-               "[" + util::Table::fmt(pci.lo) + "," + util::Table::fmt(pci.hi) + "]",
-               util::Table::fmt(rci.point),
-               "[" + util::Table::fmt(rci.lo) + "," + util::Table::fmt(rci.hi) + "]",
+               interval(pci), util::Table::fmt(rci.point), interval(rci),
                util::Table::fmt(f), util::Table::fmt(new_links)});
   }
   t.print(std::cout);

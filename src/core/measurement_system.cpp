@@ -22,7 +22,7 @@ MeasurementSystem::MeasurementSystem(const topology::Internet& net,
       vps_(std::move(vps)),
       targets_(std::move(targets)),
       rng_(seed),
-      consistency_(net) {
+      evidence_(net) {
   rels_.providers_of = &net.providers;
   targets_by_as_.assign(net.num_ases(), {});
   for (std::size_t t = 0; t < targets_.size(); ++t)
@@ -30,12 +30,30 @@ MeasurementSystem::MeasurementSystem(const topology::Internet& net,
 }
 
 void MeasurementSystem::process_trace(const traceroute::TraceResult& trace,
-                                      traceroute::TraceObservations& obs_out) {
-  obs_out = traceroute::extract_observations(trace, rels_, rng_);
-  // Well-positioned checks must see the tracker state *before* this trace.
-  evidence_.ingest(trace, obs_out, wp_);
-  consistency_.ingest(obs_out);
-  wp_.ingest(trace);
+                                      MeasurementOutcome* reveal, AsId i,
+                                      AsId j) {
+  const auto obs = traceroute::extract_observations(trace, rels_, rng_);
+  if (reveal != nullptr) {
+    auto is_link = [&](AsId a, AsId b) {
+      return (a == i && b == j) || (a == j && b == i);
+    };
+    for (const auto& l : obs.links) {
+      if (is_link(l.a, l.b)) {
+        reveal->revealed_direct = true;
+        break;
+      }
+    }
+    for (const auto& t : obs.transits) {
+      if (!is_link(t.a, t.b)) continue;
+      MetroId tm = t.metro_b_side >= 0 ? t.metro_b_side : t.metro_a_side;
+      if (tm < 0) continue;
+      if (evidence_.well_positioned(trace.vp_id, t.a, tm)) {
+        reveal->revealed_transit = true;
+        break;
+      }
+    }
+  }
+  evidence_.ingest(trace, obs);
 }
 
 void MeasurementSystem::run_public_archives(std::size_t count) {
@@ -65,8 +83,7 @@ void MeasurementSystem::run_public_archives(std::size_t count) {
     // observation (the real archives only contain completed traceroutes).
     if (trace.status != traceroute::ProbeStatus::kOk) continue;
     MAC_COUNT("measurement.public_traces_processed");
-    traceroute::TraceObservations obs;
-    process_trace(trace, obs);
+    process_trace(trace);
   }
 }
 
@@ -224,29 +241,7 @@ MeasurementOutcome MeasurementSystem::run_targeted(AsId i, AsId j, MetroId m,
     return out;
   }
 
-  // Informativeness checks (like evidence ingestion) must see the
-  // well-positioned tracker state *before* this trace, so wp_.ingest runs
-  // last.
-  auto obs = traceroute::extract_observations(trace, rels_, rng_);
-  evidence_.ingest(trace, obs, wp_);
-  consistency_.ingest(obs);
-
-  for (const auto& l : obs.links) {
-    if ((l.a == i && l.b == j) || (l.a == j && l.b == i)) {
-      out.revealed_direct = true;
-      break;
-    }
-  }
-  for (const auto& t : obs.transits) {
-    if (!((t.a == i && t.b == j) || (t.a == j && t.b == i))) continue;
-    MetroId tm = t.metro_b_side >= 0 ? t.metro_b_side : t.metro_a_side;
-    if (tm < 0) continue;
-    if (wp_.well_positioned(trace.vp_id, t.a, tm)) {
-      out.revealed_transit = true;
-      break;
-    }
-  }
-  wp_.ingest(trace);
+  process_trace(trace, &out, i, j);
   out.informative = out.revealed_direct || out.revealed_transit;
   if (out.informative) MAC_COUNT("measurement.informative_results");
 
@@ -280,13 +275,11 @@ std::vector<int> MeasurementSystem::target_category_counts(AsId j,
 }
 
 EstimatedMatrix MeasurementSystem::build_matrix(const MetroContext& ctx) const {
-  return build_estimated_matrix(ctx, evidence_, consistency_);
+  return build_estimated_matrix(ctx, evidence_);
 }
 
 void MeasurementSystem::save(util::checkpoint::Encoder& enc) const {
   evidence_.save(enc);
-  consistency_.save(enc);
-  wp_.save(enc);
   enc.str(rng_.save_state());
   enc.u64(health_clock_);
 
@@ -319,8 +312,6 @@ void MeasurementSystem::save(util::checkpoint::Encoder& enc) const {
 
 void MeasurementSystem::load(util::checkpoint::Decoder& dec) {
   evidence_.load(dec);
-  consistency_.load(dec);
-  wp_.load(dec);
   rng_.restore_state(dec.str());
   health_clock_ = dec.u64();
 

@@ -1,5 +1,5 @@
-// Measurement plane: owns the vantage points, targets, global evidence and
-// trackers, and executes both public-archive and targeted traceroutes.
+// Measurement plane: owns the vantage points, targets and global evidence,
+// and executes both public-archive and targeted traceroutes.
 //
 // One MeasurementSystem spans the whole Internet (evidence transfers across
 // metros, §3.4); per-metro schedulers drive it through run_targeted().
@@ -76,8 +76,6 @@ class MeasurementSystem {
   EstimatedMatrix build_matrix(const MetroContext& ctx) const;
 
   const EvidenceStore& evidence() const { return evidence_; }
-  const traceroute::ConsistencyTracker& consistency() const { return consistency_; }
-  const traceroute::WellPositionedTracker& well_positioned() const { return wp_; }
   std::size_t traceroutes_issued() const { return engine_->issued(); }
   const std::vector<traceroute::VantagePoint>& vps() const { return vps_; }
 
@@ -95,15 +93,22 @@ class MeasurementSystem {
   double vp_score(int vp_id, AsId i) const;
 
   /// Checkpoint serialization of all mutable measurement-plane state
-  /// (evidence, trackers, VP statistics/health, the RNG stream position and
+  /// (evidence, VP statistics/health, the RNG stream position and
   /// the health clock).  The Internet, engine wiring, VP/target inventories
   /// and resilience policy are configuration, reconstructed on resume.
   void save(util::checkpoint::Encoder& enc) const;
   void load(util::checkpoint::Decoder& dec);
 
  private:
+  /// The one ingest path, for archive and targeted traces alike: extracts
+  /// the trace's observations and folds them into the evidence store.  A
+  /// targeted trace passes its outcome as `reveal`, which first records
+  /// whether the trace revealed link (i, j); that check reads the
+  /// well-positioned state from before this trace.
   void process_trace(const traceroute::TraceResult& trace,
-                     traceroute::TraceObservations& obs_out);
+                     MeasurementOutcome* reveal = nullptr,
+                     AsId i = topology::kInvalidAs,
+                     AsId j = topology::kInvalidAs);
 
   /// False when the VP is dead, quarantined, or backing off.  Always true
   /// without an active fault injector.
@@ -119,8 +124,6 @@ class MeasurementSystem {
   util::Rng rng_;
 
   EvidenceStore evidence_;
-  traceroute::ConsistencyTracker consistency_;
-  traceroute::WellPositionedTracker wp_;
   traceroute::PublicRelationships rels_;
 
   // (vp_id, as) -> {attempts, confirmed}

@@ -102,7 +102,7 @@ PipelineResult MetascriticPipeline::run(const PipelineRunOptions& opts) {
   RankEstimator estimator(*ctx_, features, cfg_.rank);
   {
     MAC_SPAN("pipeline.rank_estimation");
-    res.rank_detail = estimator.run(&scheduler, *ms_, rank_opts);
+    res.rank_detail = estimator.run(scheduler, *ms_, rank_opts);
   }
   res.estimated_rank = res.rank_detail.best_rank;
   res.targeted_traceroutes = res.rank_detail.traceroutes_used;

@@ -128,7 +128,7 @@ void RankLoopState::load(util::checkpoint::Decoder& dec) {
   partial.truncated = dec.b();
 }
 
-RankEstimateResult RankEstimator::run(MeasurementScheduler* scheduler,
+RankEstimateResult RankEstimator::run(MeasurementScheduler& scheduler,
                                       MeasurementSystem& ms,
                                       const RankRunOptions& opts) {
   MAC_REQUIRE(cfg_.max_rank >= 1, "max_rank=", cfg_.max_rank);
@@ -149,7 +149,7 @@ RankEstimateResult RankEstimator::run(MeasurementScheduler* scheduler,
     res = opts.resume->partial;
     rng.restore_state(opts.resume->rng_state);
   }
-  if (scheduler != nullptr) scheduler->set_run_control(opts.control);
+  scheduler.set_run_control(opts.control);
   for (int r = start_rank; r <= cfg_.max_rank; ++r) {
     // Cooperative stop between iterations: a rank candidate is the work
     // unit; the one in flight always finishes and is checkpointed.
@@ -159,9 +159,8 @@ RankEstimateResult RankEstimator::run(MeasurementScheduler* scheduler,
     }
     MAC_SPAN("pipeline.rank_iteration");
     MAC_COUNT("pipeline.rank_candidates_evaluated");
-    if (scheduler != nullptr)
-      res.traceroutes_used +=
-          scheduler->fill_rows_to(r, cfg_.budget_per_iteration);
+    res.traceroutes_used +=
+        scheduler.fill_rows_to(r, cfg_.budget_per_iteration);
     EstimatedMatrix e = ms.build_matrix(*ctx_);
     double mse = holdout_mse(e, r, rng);
     MAC_HISTOGRAM("pipeline.rank_holdout_mse", mse);

@@ -72,11 +72,9 @@ class RankEstimator {
       : ctx_(&ctx), features_(&features), cfg_(cfg) {}
 
   /// Runs the estimation loop, driving `scheduler` for targeted
-  /// measurements. Pass a nullptr scheduler to estimate on a static matrix
-  /// (the post-hoc hyperparameter mode used by the baselines in §4.2).
-  /// `opts` adds cooperative cancellation, per-iteration checkpoint hooks
-  /// and mid-loop resume; the defaults change nothing.
-  RankEstimateResult run(MeasurementScheduler* scheduler,
+  /// measurements. `opts` adds cooperative cancellation, per-iteration
+  /// checkpoint hooks and mid-loop resume; the defaults change nothing.
+  RankEstimateResult run(MeasurementScheduler& scheduler,
                          MeasurementSystem& ms,
                          const RankRunOptions& opts = {});
 

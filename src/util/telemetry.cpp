@@ -436,17 +436,13 @@ void Registry::write_csv(std::ostream& os) const {
                    ? n.name
                    : paths[mac::checked_cast<std::size_t>(n.parent)] + "/" + n.name;
   }
-  std::vector<std::uint64_t> child_total(spans_flat.size(), 0);
-  for (const auto& n : spans_flat)
-    if (n.parent >= 0)
-      child_total[mac::checked_cast<std::size_t>(n.parent)] += n.total_ns;
+  std::vector<std::vector<int>> children;
+  span_children(spans_flat, children);
   for (std::size_t i = 0; i < spans_flat.size(); ++i) {
-    const std::uint64_t total = spans_flat[i].total_ns;
-    const std::uint64_t self =
-        total > child_total[i] ? total - child_total[i] : 0;
     os << "span," << paths[i] << ",count," << spans_flat[i].count << "\n";
-    os << "span," << paths[i] << ",total_ns," << total << "\n";
-    os << "span," << paths[i] << ",self_ns," << self << "\n";
+    os << "span," << paths[i] << ",total_ns," << spans_flat[i].total_ns << "\n";
+    os << "span," << paths[i] << ",self_ns,"
+       << span_self_ns(spans_flat, children, mac::checked_cast<int>(i)) << "\n";
   }
 }
 

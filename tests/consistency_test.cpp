@@ -1,5 +1,6 @@
-// Consistent-routing detection and well-positioned-VP tests (§3.4).
-#include "traceroute/consistency.hpp"
+// Consistent-routing detection (EvidenceStore's inconsistency index) and
+// well-positioned-VP tests (§3.4).
+#include "traceroute/well_positioned.hpp"
 
 #include <algorithm>
 #include <map>
@@ -8,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/evidence.hpp"
 #include "topology/generator.hpp"
 #include "util/checkpoint.hpp"
 #include "util/rng.hpp"
@@ -15,6 +17,7 @@
 namespace metas::traceroute {
 namespace {
 
+using core::EvidenceStore;
 using topology::AsId;
 using topology::GeoScope;
 using topology::MetroId;
@@ -34,6 +37,11 @@ class ConsistencyTest : public ::testing::Test {
   }
   static void TearDownTestSuite() { net_.reset(); }
 
+  // Feeds observations through the store's one ingest.  Consistency counts
+  // every transit crossing, well positioned or not, so a stub trace will do.
+  static void ingest(EvidenceStore& s, const TraceObservations& o) {
+    s.ingest(TraceResult{}, o);
+  }
   static TraceObservations direct_obs(AsId a, AsId b, MetroId m) {
     TraceObservations o;
     o.links.push_back({a, b, m, false});
@@ -49,14 +57,14 @@ class ConsistencyTest : public ::testing::Test {
 std::unique_ptr<topology::Internet> ConsistencyTest::net_;
 
 TEST_F(ConsistencyTest, NoEvidenceIsConsistent) {
-  ConsistencyTracker t(*net_);
+  EvidenceStore t(*net_);
   EXPECT_FALSE(t.pair_inconsistent(1, 2, GeoScope::kSameMetro));
 }
 
 TEST_F(ConsistencyTest, SameMetroMixMakesInconsistent) {
-  ConsistencyTracker t(*net_);
-  t.ingest(direct_obs(1, 2, 0));
-  t.ingest(transit_obs(1, 2, 0));
+  EvidenceStore t(*net_);
+  ingest(t, direct_obs(1, 2, 0));
+  ingest(t, transit_obs(1, 2, 0));
   EXPECT_TRUE(t.pair_inconsistent(1, 2, GeoScope::kSameMetro));
   EXPECT_TRUE(t.pair_inconsistent(1, 2, GeoScope::kElsewhere));
 }
@@ -66,21 +74,21 @@ TEST_F(ConsistencyTest, GranularityHierarchy) {
   // metros_per_country = 2): consistent at metro granularity, inconsistent
   // at country and coarser. This mirrors the paper's NY/Seattle/Toronto
   // example.
-  ConsistencyTracker t(*net_);
-  t.ingest(direct_obs(3, 4, 0));
-  t.ingest(transit_obs(3, 4, 1));
+  EvidenceStore t(*net_);
+  ingest(t, direct_obs(3, 4, 0));
+  ingest(t, transit_obs(3, 4, 1));
   EXPECT_FALSE(t.pair_inconsistent(3, 4, GeoScope::kSameMetro));
   EXPECT_TRUE(t.pair_inconsistent(3, 4, GeoScope::kSameCountry));
   EXPECT_TRUE(t.pair_inconsistent(3, 4, GeoScope::kElsewhere));
 }
 
 TEST_F(ConsistencyTest, ConsistentSetEliminatesWorstOffenders) {
-  ConsistencyTracker t(*net_);
+  EvidenceStore t(*net_);
   // AS 7 is inconsistent with both 8 and 9; 8 and 9 are otherwise clean.
-  t.ingest(direct_obs(7, 8, 0));
-  t.ingest(transit_obs(7, 8, 0));
-  t.ingest(direct_obs(7, 9, 0));
-  t.ingest(transit_obs(7, 9, 0));
+  ingest(t, direct_obs(7, 8, 0));
+  ingest(t, transit_obs(7, 8, 0));
+  ingest(t, direct_obs(7, 9, 0));
+  ingest(t, transit_obs(7, 9, 0));
   std::vector<AsId> universe{7, 8, 9, 10};
   auto alive = t.consistent_set(GeoScope::kSameMetro, universe);
   EXPECT_FALSE(alive[0]);  // 7 eliminated
@@ -90,17 +98,17 @@ TEST_F(ConsistencyTest, ConsistentSetEliminatesWorstOffenders) {
 }
 
 TEST_F(ConsistencyTest, OnlyDirectOrOnlyTransitStaysConsistent) {
-  ConsistencyTracker t(*net_);
-  t.ingest(direct_obs(1, 2, 0));
-  t.ingest(direct_obs(1, 2, 3));
-  t.ingest(transit_obs(4, 5, 0));
-  t.ingest(transit_obs(4, 5, 1));
+  EvidenceStore t(*net_);
+  ingest(t, direct_obs(1, 2, 0));
+  ingest(t, direct_obs(1, 2, 3));
+  ingest(t, transit_obs(4, 5, 0));
+  ingest(t, transit_obs(4, 5, 1));
   std::vector<AsId> universe{1, 2, 4, 5};
   auto alive = t.consistent_set(GeoScope::kElsewhere, universe);
   for (bool a : alive) EXPECT_TRUE(a);
 }
 
-// Brute-force reference for the tracker's inconsistency index: keeps every
+// Brute-force reference for the store's inconsistency index: keeps every
 // pair's metro sets and re-tests them on every query, walking
 // pairs in sorted-key order.
 class ReferenceConsistency {
@@ -163,7 +171,7 @@ class ReferenceConsistency {
 };
 
 // Random observations over a few ASes so pairs collect several metros of
-// both kinds, including ungeolocated (-1) ones the tracker must skip.
+// both kinds, including ungeolocated (-1) ones the store must skip.
 TraceObservations random_obs(util::Rng& rng, int num_ases, int num_metros) {
   auto metro = [&] { return rng.uniform_int(-1, num_metros - 1); };
   TraceObservations o;
@@ -180,7 +188,24 @@ TraceObservations random_obs(util::Rng& rng, int num_ases, int num_metros) {
   return o;
 }
 
-void expect_matches_reference(const ConsistencyTracker& t,
+// A random trace from one of a few VPs, so the well-positioned state (and
+// with it each transit metro's flag) varies as the store ingests.
+TraceResult random_trace(util::Rng& rng, int num_ases, int num_metros) {
+  TraceResult t;
+  t.vp_id = rng.uniform_int(0, 3);
+  t.src_as = rng.uniform_int(0, num_ases - 1);
+  t.src_metro = rng.uniform_int(0, num_metros - 1);
+  const int hops = rng.uniform_int(0, 3);
+  for (int k = 0; k < hops; ++k) {
+    Hop h;
+    h.as = rng.uniform_int(0, num_ases - 1);
+    h.observed_ingress = rng.uniform_int(-1, num_metros - 1);
+    t.hops.push_back(h);
+  }
+  return t;
+}
+
+void expect_matches_reference(const EvidenceStore& t,
                               const ReferenceConsistency& ref, int num_ases,
                               const std::vector<std::vector<AsId>>& universes) {
   for (int gi = 0; gi < topology::kNumGeoScopes; ++gi) {
@@ -194,6 +219,25 @@ void expect_matches_reference(const ConsistencyTracker& t,
   }
 }
 
+// E_m of every metro, entry by entry; returns the number of filled entries.
+std::size_t expect_same_estimated_matrices(const topology::Internet& net,
+                                           const EvidenceStore& x,
+                                           const EvidenceStore& y) {
+  std::size_t filled = 0;
+  for (MetroId m = 0; m < static_cast<MetroId>(net.metros.size()); ++m) {
+    core::MetroContext ctx(net, m);
+    const core::EstimatedMatrix ex = core::build_estimated_matrix(ctx, x);
+    const core::EstimatedMatrix ey = core::build_estimated_matrix(ctx, y);
+    for (std::size_t i = 0; i < ctx.size(); ++i)
+      for (std::size_t j = 0; j < ctx.size(); ++j) {
+        EXPECT_EQ(ex.filled(i, j), ey.filled(i, j)) << "metro " << m;
+        EXPECT_EQ(ex.value(i, j), ey.value(i, j)) << "metro " << m;
+      }
+    filled += ex.total_filled();
+  }
+  return filled;
+}
+
 TEST_F(ConsistencyTest, IndexMatchesBruteForceAfterRandomIngest) {
   constexpr int kAses = 24;
   const int metros = static_cast<int>(net_->metros.size());
@@ -201,35 +245,42 @@ TEST_F(ConsistencyTest, IndexMatchesBruteForceAfterRandomIngest) {
   for (AsId a = 0; a < kAses; ++a) universes[0].push_back(a);
   for (AsId a = kAses - 1; a >= 0; a -= 2) universes[1].push_back(a);  // reordered subset
   universes[2] = {3, 40, 7, 11, 5};  // includes an AS with no evidence
+  std::size_t filled = 0;
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     util::Rng rng(seed);
-    ConsistencyTracker t(*net_);
+    EvidenceStore t(*net_);
     ReferenceConsistency ref(*net_);
     for (int step = 0; step < 400; ++step) {
       TraceObservations o = random_obs(rng, kAses, metros);
-      t.ingest(o);
+      t.ingest(random_trace(rng, kAses, metros), o);
       ref.ingest(o);
       if (step % 100 == 99)
         expect_matches_reference(t, ref, kAses, universes);
     }
-    // A fresh tracker loaded from the checkpoint rebuilds the same index,
-    // re-saves the same bytes, and keeps it exact under further ingest.
+    // A fresh store loaded from the checkpoint rebuilds the same index,
+    // re-saves the same bytes, derives the same E_m everywhere, and keeps
+    // the index exact under further ingest.
     util::checkpoint::Encoder enc;
     t.save(enc);
-    ConsistencyTracker loaded(*net_);
+    EvidenceStore loaded(*net_);
     util::checkpoint::Decoder dec(enc.data());
     loaded.load(dec);
     util::checkpoint::Encoder again;
     loaded.save(again);
     EXPECT_EQ(enc.data(), again.data());
     expect_matches_reference(loaded, ref, kAses, universes);
+    filled += expect_same_estimated_matrices(*net_, t, loaded);
     for (int step = 0; step < 100; ++step) {
       TraceObservations o = random_obs(rng, kAses, metros);
-      loaded.ingest(o);
+      const TraceResult tr = random_trace(rng, kAses, metros);
+      t.ingest(tr, o);
+      loaded.ingest(tr, o);
       ref.ingest(o);
     }
     expect_matches_reference(loaded, ref, kAses, universes);
+    filled += expect_same_estimated_matrices(*net_, t, loaded);
   }
+  EXPECT_GT(filled, 0u);  // the E_m comparison saw real fills
 }
 
 TEST(WellPositioned, NeverIssuedIsWellPositioned) {

@@ -1,7 +1,9 @@
 // EvidenceStore and E_m derivation tests (§3.4 transferability rules).
 #include "core/evidence.hpp"
 
+#include <map>
 #include <memory>
+#include <set>
 
 #include <gtest/gtest.h>
 
@@ -41,21 +43,33 @@ class EvidenceTest : public ::testing::Test {
     return t;
   }
 
+  // A measurement by VP 42 that did NOT traverse any AS at metro 0: once
+  // ingested, the VP is no longer well positioned there.
+  static traceroute::TraceResult prior_trace_elsewhere() {
+    traceroute::TraceResult prior = trace_stub();
+    prior.src_as = 7;
+    prior.src_metro = 3;
+    traceroute::Hop h;
+    h.as = 7;
+    h.observed_ingress = 3;
+    h.responsive = true;
+    prior.hops = {h};
+    return prior;
+  }
+
   static std::unique_ptr<topology::Internet> net_;
 };
 std::unique_ptr<topology::Internet> EvidenceTest::net_;
 
 TEST_F(EvidenceTest, DirectObservationFillsByScope) {
   auto [a, b] = two_ases_at_metro0();
-  EvidenceStore ev;
-  traceroute::WellPositionedTracker wp;
-  traceroute::ConsistencyTracker ct(*net_);
+  EvidenceStore ev(*net_);
   traceroute::TraceObservations obs;
   obs.links.push_back({a, b, 1, false});  // same country as metro 0
-  ev.ingest(trace_stub(), obs, wp);
+  ev.ingest(trace_stub(), obs);
 
   MetroContext ctx(*net_, 0);
-  EstimatedMatrix e = build_estimated_matrix(ctx, ev, ct);
+  EstimatedMatrix e = build_estimated_matrix(ctx, ev);
   int ia = ctx.local(a), ib = ctx.local(b);
   ASSERT_GE(ia, 0);
   ASSERT_GE(ib, 0);
@@ -65,70 +79,70 @@ TEST_F(EvidenceTest, DirectObservationFillsByScope) {
 
 TEST_F(EvidenceTest, ClosestDirectObservationWins) {
   auto [a, b] = two_ases_at_metro0();
-  EvidenceStore ev;
-  traceroute::WellPositionedTracker wp;
-  traceroute::ConsistencyTracker ct(*net_);
+  EvidenceStore ev(*net_);
   traceroute::TraceObservations obs;
   obs.links.push_back({a, b, 4, false});  // other continent: 0.1
   obs.links.push_back({a, b, 2, false});  // same continent: 0.4
-  ev.ingest(trace_stub(), obs, wp);
+  ev.ingest(trace_stub(), obs);
   MetroContext ctx(*net_, 0);
-  EstimatedMatrix e = build_estimated_matrix(ctx, ev, ct);
+  EstimatedMatrix e = build_estimated_matrix(ctx, ev);
   EXPECT_DOUBLE_EQ(e.value(ctx.local(a), ctx.local(b)), 0.4);
 }
 
 TEST_F(EvidenceTest, TransitFromWellPositionedVpGivesNegative) {
   auto [a, b] = two_ases_at_metro0();
-  EvidenceStore ev;
-  traceroute::WellPositionedTracker wp;  // VP never issued: well positioned
-  traceroute::ConsistencyTracker ct(*net_);
+  EvidenceStore ev(*net_);  // VP 42 never issued: well positioned
   traceroute::TraceObservations obs;
   obs.transits.push_back({a, b, 99, 0, 0});  // transit at the metro itself
-  ev.ingest(trace_stub(), obs, wp);
+  ev.ingest(trace_stub(), obs);
   MetroContext ctx(*net_, 0);
-  EstimatedMatrix e = build_estimated_matrix(ctx, ev, ct);
+  EstimatedMatrix e = build_estimated_matrix(ctx, ev);
   EXPECT_DOUBLE_EQ(e.value(ctx.local(a), ctx.local(b)), -1.0);
 }
 
 TEST_F(EvidenceTest, TransitFromPoorlyPositionedVpIgnored) {
   auto [a, b] = two_ases_at_metro0();
-  EvidenceStore ev;
-  traceroute::WellPositionedTracker wp;
-  // The VP has issued a measurement that did NOT traverse (a, metro 0), so
-  // it is no longer well positioned for a at 0.
-  traceroute::TraceResult prior;
-  prior.vp_id = 42;
-  prior.src_as = 7;
-  prior.src_metro = 3;
-  traceroute::Hop h;
-  h.as = 7;
-  h.observed_ingress = 3;
-  h.responsive = true;
-  prior.hops = {h};
-  wp.ingest(prior);
+  EvidenceStore ev(*net_);
+  ev.ingest(prior_trace_elsewhere(), {});
 
   traceroute::TraceObservations obs;
   obs.transits.push_back({a, b, 99, 0, 0});
-  traceroute::TraceResult t = trace_stub();
-  ev.ingest(t, obs, wp);
+  ev.ingest(trace_stub(), obs);
   MetroContext ctx(*net_, 0);
-  traceroute::ConsistencyTracker ct(*net_);
-  EstimatedMatrix e = build_estimated_matrix(ctx, ev, ct);
+  EstimatedMatrix e = build_estimated_matrix(ctx, ev);
   EXPECT_FALSE(e.filled(ctx.local(a), ctx.local(b)));
+}
+
+TEST_F(EvidenceTest, PoorlyPositionedTransitCountsOnlyForConsistency) {
+  // Every transit crossing decides routing consistency; only well-positioned
+  // ones are non-existence evidence.
+  auto [a, b] = two_ases_at_metro0();
+  EvidenceStore ev(*net_);
+  ev.ingest(prior_trace_elsewhere(), {});
+
+  traceroute::TraceObservations obs;
+  obs.links.push_back({a, b, 4, false});     // weak positive 0.1
+  obs.transits.push_back({a, b, 99, 0, 0});  // would be -1 if well positioned
+  ev.ingest(trace_stub(), obs);
+
+  const PairEvidence* pe = ev.find(a, b);
+  ASSERT_NE(pe, nullptr);
+  EXPECT_EQ(pe->transit, (std::map<MetroId, bool>{{0, false}}));
+  EXPECT_TRUE(ev.pair_inconsistent(a, b, topology::GeoScope::kElsewhere));
+  MetroContext ctx(*net_, 0);
+  EstimatedMatrix e = build_estimated_matrix(ctx, ev);
+  EXPECT_DOUBLE_EQ(e.value(ctx.local(a), ctx.local(b)), 0.1);
 }
 
 TEST_F(EvidenceTest, InconsistentPairGetsNoNegative) {
   auto [a, b] = two_ases_at_metro0();
-  EvidenceStore ev;
-  traceroute::WellPositionedTracker wp;
-  traceroute::ConsistencyTracker ct(*net_);
+  EvidenceStore ev(*net_);
   traceroute::TraceObservations obs;
   obs.links.push_back({a, b, 1, false});    // direct at metro 1
   obs.transits.push_back({a, b, 99, 1, 1}); // transit at metro 1 too
-  ev.ingest(trace_stub(), obs, wp);
-  ct.ingest(obs);
+  ev.ingest(trace_stub(), obs);
   MetroContext ctx(*net_, 0);
-  EstimatedMatrix e = build_estimated_matrix(ctx, ev, ct);
+  EstimatedMatrix e = build_estimated_matrix(ctx, ev);
   // The pair is inconsistent at country granularity, so the only fill is the
   // positive same-country transfer.
   EXPECT_DOUBLE_EQ(e.value(ctx.local(a), ctx.local(b)), 0.7);
@@ -136,23 +150,19 @@ TEST_F(EvidenceTest, InconsistentPairGetsNoNegative) {
 
 TEST_F(EvidenceTest, MixedEvidenceKeepsBiggerAbsolute) {
   auto [a, b] = two_ases_at_metro0();
-  EvidenceStore ev;
-  traceroute::WellPositionedTracker wp;
-  traceroute::ConsistencyTracker ct(*net_);
+  EvidenceStore ev(*net_);
   traceroute::TraceObservations obs;
   obs.links.push_back({a, b, 4, false});     // weak positive 0.1
   obs.transits.push_back({a, b, 99, 0, 0});  // strong negative -1
-  ev.ingest(trace_stub(), obs, wp);
+  ev.ingest(trace_stub(), obs);
   MetroContext ctx(*net_, 0);
-  EstimatedMatrix e = build_estimated_matrix(ctx, ev, ct);
+  EstimatedMatrix e = build_estimated_matrix(ctx, ev);
   EXPECT_DOUBLE_EQ(e.value(ctx.local(a), ctx.local(b)), -1.0);
 }
 
 TEST_F(EvidenceTest, PairsOutsideMetroIgnored) {
   // Evidence about a pair with no presence at metro 0 must not crash or fill.
-  EvidenceStore ev;
-  traceroute::WellPositionedTracker wp;
-  traceroute::ConsistencyTracker ct(*net_);
+  EvidenceStore ev(*net_);
   // Find an AS absent from metro 0.
   AsId outsider = topology::kInvalidAs;
   MetroContext ctx(*net_, 0);
@@ -161,18 +171,17 @@ TEST_F(EvidenceTest, PairsOutsideMetroIgnored) {
   ASSERT_NE(outsider, topology::kInvalidAs);
   traceroute::TraceObservations obs;
   obs.links.push_back({outsider, ctx.as_at(0), 1, false});
-  ev.ingest(trace_stub(), obs, wp);
-  EstimatedMatrix e = build_estimated_matrix(ctx, ev, ct);
+  ev.ingest(trace_stub(), obs);
+  EstimatedMatrix e = build_estimated_matrix(ctx, ev);
   EXPECT_EQ(e.total_filled(), 0u);
 }
 
 TEST_F(EvidenceTest, AccessorsWork) {
   auto [a, b] = two_ases_at_metro0();
-  EvidenceStore ev;
-  traceroute::WellPositionedTracker wp;
+  EvidenceStore ev(*net_);
   traceroute::TraceObservations obs;
   obs.links.push_back({a, b, 2, false});
-  ev.ingest(trace_stub(), obs, wp);
+  ev.ingest(trace_stub(), obs);
   const PairEvidence* pe = ev.find(a, b);
   ASSERT_NE(pe, nullptr);
   EXPECT_EQ(ev.find(b, a), pe);

@@ -114,7 +114,7 @@ TEST(RankEstimator, DrivenModeIssuesMeasurements) {
   cfg.patience = 2;
   cfg.budget_per_iteration = 200;
   RankEstimator est(ctx, feats, cfg);
-  RankEstimateResult res = est.run(&sched, *w.ms);
+  RankEstimateResult res = est.run(sched, *w.ms);
   EXPECT_GE(res.best_rank, 1);
   EXPECT_FALSE(res.history.empty());
 }
