@@ -40,7 +40,6 @@ ResilienceRow run_config(const std::string& label,
   core::ProbabilityMatrix pm(ctx, *w.ms, nullptr);
   core::SchedulerConfig sc;
   sc.seed = seed + 11;
-  sc.resilient = resilient;
   core::MeasurementScheduler sched(ctx, *w.ms, pm, sc);
   std::size_t before = w.ms->traceroutes_issued();
   sched.fill_rows_to(fill_target, budget);

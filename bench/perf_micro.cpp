@@ -89,7 +89,7 @@ BENCHMARK(BM_AlsFitFeatures)->Arg(4)->Arg(12);
 // second-of-fitting as the `checkpoint_overhead` counter.  One write per
 // two fits matches the pipeline's real checkpoint granularity
 // conservatively: its boundary is one rank iteration, which runs
-// holdout_repeats (2) ALS fits plus a measurement batch per write.  The CI
+// kHoldoutRepeats (2) ALS fits plus a measurement batch per write.  The CI
 // checkpoint-overhead gate reads the counter directly, so machine drift
 // between benchmarks or runs cannot masquerade as overhead.  Only the
 // 300/16 configuration is gated: its fit time is representative of the

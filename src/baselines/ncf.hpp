@@ -3,7 +3,7 @@
 // Learns per-AS embeddings and a one-hidden-layer MLP scoring head trained
 // jointly by SGD on observed ratings -- the non-linear recommender the paper
 // compares against its linear ALS (finding near-identical AUC at higher
-// complexity). Deterministic under the config seed.
+// complexity). Deterministic: a fixed seed draws the initial weights.
 #pragma once
 
 #include <cstdint>
@@ -15,11 +15,7 @@ namespace metas::baselines {
 
 struct NcfConfig {
   int embedding_dim = 12;
-  int hidden_units = 24;
   int epochs = 30;
-  double learning_rate = 0.05;
-  double l2 = 1e-4;
-  std::uint64_t seed = 37;
 };
 
 /// One observed symmetric rating.

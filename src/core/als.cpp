@@ -50,7 +50,7 @@ void AlsCompleter::fit(const std::vector<RatingEntry>& observed) {
     for (const RatingEntry& e : observed)
       (e.value > 0.0 ? pos_w : neg_w) += std::fabs(e.value);
     if (neg_w > 0.0 && pos_w > 0.0)
-      neg_boost = std::min(cfg_.balance_cap, std::max(1.0, pos_w / neg_w));
+      neg_boost = std::min(kAlsBalanceCap, std::max(1.0, pos_w / neg_w));
   }
   // Each entry is a rating of both its rows; a row keeps `observed` order.
   start_.assign(n_ + 1, 0);
@@ -75,7 +75,7 @@ void AlsCompleter::fit(const std::vector<RatingEntry>& observed) {
     if (cfg_.confidence_weighting) {
       // Connectivity mode: the rating magnitude is *confidence*, not signal
       // strength -- train against the sign and weight by the magnitude.
-      w = std::max(cfg_.confidence_floor, std::fabs(e.value));
+      w = std::max(kAlsConfidenceFloor, std::fabs(e.value));
       target = e.value > 0.0 ? 1.0 : -1.0;
     }
     if (e.value < 0.0) w *= neg_boost;

@@ -18,19 +18,24 @@
 
 namespace metas::core {
 
+/// Floor of a confidence-weighted observation's weight: keeps weak
+/// (transferred, low-|rating|) entries from vanishing entirely.
+inline constexpr double kAlsConfidenceFloor = 0.05;
+/// Cap of the negative-class reweighting factor.
+inline constexpr double kAlsBalanceCap = 4.0;
+
 struct AlsConfig {
   int rank = 8;
   double lambda = 0.08;          // ridge regularizer
   double feature_weight = 0.5;   // weight of feature entries
   int iterations = 10;
-  /// Weight observations by |rating| (transferred low-confidence entries
-  /// count less). Floor keeps weak entries from vanishing entirely.
+  /// Weight observations by max(kAlsConfidenceFloor, |rating|)
+  /// (transferred low-confidence entries count less).
   bool confidence_weighting = true;
-  double confidence_floor = 0.05;
   /// Reweight negative entries so both classes carry equal total weight
-  /// (the "balanced" estimated connectivity matrix of Table 1); capped.
+  /// (the "balanced" estimated connectivity matrix of Table 1), up to
+  /// kAlsBalanceCap.
   bool balance_classes = true;
-  double balance_cap = 4.0;
   std::uint64_t seed = 7;
 };
 

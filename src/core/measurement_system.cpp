@@ -12,6 +12,21 @@ namespace metas::core {
 using traceroute::ProbeTarget;
 using traceroute::VantagePoint;
 
+namespace {
+
+// VP health policy while resilience is on.  Durations are targeted-
+// measurement ticks (one per run_targeted call), a clock that keeps
+// advancing even while probes are blocked, so backoffs always expire;
+// nothing here reads wall-clock time.
+constexpr int kQuarantineThreshold = 3;  // consecutive faulted attempts
+// Backoff after a rate-limited attempt, doubling per consecutive strike.
+constexpr std::uint64_t kBackoffBase = 32;
+constexpr std::uint64_t kBackoffCap = 8192;
+static_assert(kQuarantineThreshold >= 1 && kBackoffBase >= 1 &&
+              kBackoffCap >= kBackoffBase);
+
+}  // namespace
+
 MeasurementSystem::MeasurementSystem(const topology::Internet& net,
                                      traceroute::TracerouteEngine& engine,
                                      std::vector<VantagePoint> vps,
@@ -109,16 +124,16 @@ void MeasurementSystem::note_vp_fault(int vp_id,
   ++h.strikes;
   auto backoff = [&](int doublings, std::uint64_t base) {
     std::uint64_t d = base << std::min(doublings, 16);
-    return health_clock_ + std::min(d, resilience_.backoff_cap);
+    return health_clock_ + std::min(d, kBackoffCap);
   };
   if (status == traceroute::ProbeStatus::kRateLimited) {
     // Exponential backoff: the platform is telling us to slow down.
-    h.blocked_until = backoff(h.strikes - 1, resilience_.backoff_base);
+    h.blocked_until = backoff(h.strikes - 1, kBackoffBase);
     MAC_COUNT("measurement.backoffs_applied");
-  } else if (h.strikes >= resilience_.quarantine_threshold) {
+  } else if (h.strikes >= kQuarantineThreshold) {
     // Repeatedly failing VP: quarantine, doubling with every extra strike.
-    h.blocked_until = backoff(h.strikes - resilience_.quarantine_threshold,
-                              resilience_.backoff_base * 4);
+    h.blocked_until =
+        backoff(h.strikes - kQuarantineThreshold, kBackoffBase * 4);
     // Cumulative quarantine *events*; the DegradationReport's
     // quarantined_vps is the distinct-VP state at campaign end.
     MAC_COUNT("measurement.vps_quarantined");
@@ -195,9 +210,7 @@ MeasurementOutcome MeasurementSystem::run_targeted(AsId i, AsId j, MetroId m,
   const traceroute::FaultInjector* inj = engine_->fault_injector();
   const bool faults_active = inj != nullptr && inj->enabled();
   const int max_attempts =
-      faults_active && resilience_.enabled
-          ? std::max(1, resilience_.max_attempts)
-          : 1;
+      faults_active && resilience_.enabled ? kMaxProbeAttempts : 1;
   std::vector<char> tried(cand_vps.size(), 0);
   traceroute::TraceResult trace;
   for (int attempt = 0; attempt < max_attempts; ++attempt) {

@@ -33,19 +33,19 @@ struct MeasurementOutcome {
   bool infra_failure = false;
 };
 
-/// Failover / backoff / quarantine policy of the measurement plane.  All
-/// durations are targeted-measurement ticks (one per run_targeted call), a
-/// clock that keeps advancing even while probes are blocked, so backoffs
-/// always expire; nothing here reads wall-clock time.
+/// Total probe attempts per targeted measurement (first try + failovers)
+/// while resilience is on; the scheduler's budget check bounds overshoot
+/// by it.
+inline constexpr int kMaxProbeAttempts = 4;
+static_assert(kMaxProbeAttempts >= 1);
+
+/// The measurement plane's resilience switch.  On, a faulted probe fails
+/// over to another VP, repeatedly faulting VPs are quarantined and
+/// rate-limited ones back off, and the scheduler requeues infrastructure
+/// failures with backoff.  Off, all four are disabled together (the e8
+/// and --no-resilience ablation).
 struct ResilienceConfig {
   bool enabled = true;
-  /// Total probe attempts per targeted measurement (first try + failovers).
-  int max_attempts = 4;
-  /// Consecutive faulted attempts before a VP is quarantined.
-  int quarantine_threshold = 3;
-  /// Backoff after a rate-limited attempt, doubling per consecutive strike.
-  std::uint64_t backoff_base = 32;
-  std::uint64_t backoff_cap = 8192;
 };
 
 class MeasurementSystem {

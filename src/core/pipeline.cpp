@@ -9,6 +9,11 @@
 
 namespace metas::core {
 
+namespace {
+// Slice of E_m held out to tune the decision threshold lambda.
+constexpr double kThresholdHoldoutFraction = 0.1;
+}  // namespace
+
 double tune_threshold(const AlsCompleter& completer,
                       const std::vector<RatingEntry>& labelled) {
   if (labelled.empty()) return 0.0;
@@ -118,12 +123,12 @@ PipelineResult MetascriticPipeline::run(const PipelineRunOptions& opts) {
   // Hold out a slice for threshold tuning.
   std::vector<RatingEntry> train, tune;
   for (const RatingEntry& e : entries) {
-    if (rng.uniform() < cfg_.holdout_fraction) tune.push_back(e);
+    if (rng.uniform() < kThresholdHoldoutFraction) tune.push_back(e);
     else train.push_back(e);
   }
   if (train.empty()) train = entries;
 
-  AlsConfig als = cfg_.final_als;
+  AlsConfig als;
   als.rank = res.estimated_rank;
   AlsCompleter completer(ctx_->size(), features, als);
   // The final completion phases always run -- even under cancellation the

@@ -13,8 +13,6 @@ namespace metas::core {
 struct PipelineConfig {
   SchedulerConfig scheduler;
   RankEstimatorConfig rank;
-  AlsConfig final_als;            // rank overridden by the estimate
-  double holdout_fraction = 0.1;  // slice of E_m used to tune lambda
   std::uint64_t seed = 23;
 };
 

@@ -17,6 +17,11 @@ using traceroute::kVpCategories;
 
 namespace {
 
+constexpr double kPriorBeta = 2.0;  // per-strategy failure pseudo-count
+// At most this many pseudo-observations come from the cross-metro pool.
+constexpr double kPriorStrength = 20.0;
+static_assert(kPriorBeta > 0.0, "the Beta prior must be proper");
+
 // Pool-size boost for a strategy with `pool` = (#VPs x #targets) candidates:
 // 1 + 0.08 min(3, log10(pool + 1)).  The log saturates at pool = 999, so the
 // factor is a table lookup below that and a constant from there on.
@@ -49,8 +54,7 @@ ProbabilityMatrix::ProbabilityMatrix(const MetroContext& ctx,
                                      const StrategyPriors* priors,
                                      const ProbabilityConfig& cfg)
     : ctx_(&ctx), cfg_(cfg), n_(ctx.size()) {
-  MAC_REQUIRE(cfg.prior_alpha > 0.0 && cfg.prior_beta > 0.0,
-              "alpha=", cfg.prior_alpha, " beta=", cfg.prior_beta);
+  MAC_REQUIRE(cfg.prior_alpha > 0.0, "alpha=", cfg.prior_alpha);
   MAC_REQUIRE(cfg.penalty_factor > 0.0 && cfg.penalty_factor <= 1.0,
               "penalty_factor=", cfg.penalty_factor);
   vp_counts_.resize(n_);
@@ -66,13 +70,13 @@ ProbabilityMatrix::ProbabilityMatrix(const MetroContext& ctx,
   for (int s = 0; s < kNumStrategies; ++s) {
     auto si = mac::checked_cast<std::size_t>(s);
     alpha_[si] = cfg.prior_alpha;
-    beta_[si] = cfg.prior_beta;
+    beta_[si] = kPriorBeta;
     if (priors != nullptr && priors->metros_observed > 0) {
-      // Shrink the pooled counts to at most `prior_strength` pseudo-
+      // Shrink the pooled counts to at most kPriorStrength pseudo-
       // observations: hierarchical partial pooling (Appx. D.6).
       double tot = priors->alpha[si] + priors->beta[si];
       if (tot > 0.0) {
-        double scale = std::min(1.0, cfg.prior_strength / tot);
+        double scale = std::min(1.0, kPriorStrength / tot);
         alpha_[si] += priors->alpha[si] * scale;
         beta_[si] += priors->beta[si] * scale;
       }
@@ -198,7 +202,7 @@ void ProbabilityMatrix::export_priors(StrategyPriors& pool) const {
   for (int s = 0; s < kNumStrategies; ++s) {
     auto si = mac::checked_cast<std::size_t>(s);
     da[si] = std::max(0.0, alpha_[si] - cfg_.prior_alpha);
-    db[si] = std::max(0.0, beta_[si] - cfg_.prior_beta);
+    db[si] = std::max(0.0, beta_[si] - kPriorBeta);
   }
   pool.absorb(da, db);
 }

@@ -49,8 +49,6 @@ struct StrategyChoice {
 struct ProbabilityConfig {
   double penalty_factor = 0.6;   // per-(link,strategy) multiplier on failure
   double prior_alpha = 1.0;      // optimistic uniform prior
-  double prior_beta = 2.0;
-  double prior_strength = 20.0;  // max pseudo-observations from the pool
 };
 
 class ProbabilityMatrix {

@@ -11,6 +11,11 @@ namespace metas::core {
 
 namespace {
 
+constexpr int kHoldoutPerRow = 3;   // entries removed per row for validation
+constexpr int kHoldoutRepeats = 2;  // averaged splits per rank (damps noise)
+static_assert(kHoldoutPerRow >= 1, "every holdout split removes entries");
+static_assert(kHoldoutRepeats >= 1, "the holdout MSE averages >= 1 split");
+
 // Splits filled entries into (train, holdout): up to `per_row` entries are
 // removed per row; removing (i, j) counts toward both rows' quotas.
 void holdout_split(const EstimatedMatrix& e, int per_row, util::Rng& rng,
@@ -41,14 +46,14 @@ void holdout_split(const EstimatedMatrix& e, int per_row, util::Rng& rng,
 
 // Records candidate `r`'s holdout MSE and applies the acceptance rule:
 // the first candidate is always accepted, a later one must beat the best
-// MSE by max(min_improvement, rel_improvement * best).  Returns true once
-// `patience` candidates in a row have failed to.
+// MSE by max(kRankMinImprovement, kRankRelImprovement * best).  Returns
+// true once `patience` candidates in a row have failed to.
 bool accept_rank(const RankEstimatorConfig& cfg, int r, double mse,
                  double& best, int& no_improve, RankEstimateResult& res) {
   res.history.emplace_back(r, mse);
   double needed = best > 1e29 ? 0.0
-                              : std::max(cfg.min_improvement,
-                                         cfg.rel_improvement * best);
+                              : std::max(kRankMinImprovement,
+                                         kRankRelImprovement * best);
   if (mse < best - needed) {
     best = mse;
     res.best_rank = r;
@@ -64,7 +69,7 @@ bool accept_rank(const RankEstimatorConfig& cfg, int r, double mse,
 double RankEstimator::holdout_mse_once(const EstimatedMatrix& e, int rank,
                                        util::Rng& rng) const {
   std::vector<RatingEntry> train, holdout;
-  holdout_split(e, cfg_.holdout_per_row, rng, train, holdout);
+  holdout_split(e, kHoldoutPerRow, rng, train, holdout);
   if (holdout.empty() || train.empty()) return 1.0;
 
   AlsConfig als = cfg_.als;
@@ -87,9 +92,9 @@ double RankEstimator::holdout_mse_once(const EstimatedMatrix& e, int rank,
 double RankEstimator::holdout_mse(const EstimatedMatrix& e, int rank,
                                   util::Rng& rng) const {
   double s = 0.0;
-  int reps = std::max(1, cfg_.holdout_repeats);
-  for (int k = 0; k < reps; ++k) s += holdout_mse_once(e, rank, rng);
-  return s / reps;
+  for (int k = 0; k < kHoldoutRepeats; ++k)
+    s += holdout_mse_once(e, rank, rng);
+  return s / kHoldoutRepeats;
 }
 
 void RankLoopState::save(util::checkpoint::Encoder& enc) const {
@@ -132,8 +137,6 @@ RankEstimateResult RankEstimator::run(MeasurementScheduler& scheduler,
                                       MeasurementSystem& ms,
                                       const RankRunOptions& opts) {
   MAC_REQUIRE(cfg_.max_rank >= 1, "max_rank=", cfg_.max_rank);
-  MAC_REQUIRE(cfg_.holdout_per_row >= 1,
-              "holdout_per_row=", cfg_.holdout_per_row);
   util::Rng rng(cfg_.seed);
   RankEstimateResult res;
   double best = 1e30;

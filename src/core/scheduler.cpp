@@ -12,6 +12,17 @@
 namespace metas::core {
 
 namespace {
+
+// Exploitation only picks an entry whose P_ij exceeds this floor.
+constexpr double kExploitMinProb = 0.1;
+// Requeue backoff after an infrastructure failure, in scheduler ticks (pick
+// slots): kRequeueBackoffBase doubling per failure, capped.
+constexpr std::uint64_t kRequeueBackoffBase = 8;
+constexpr std::uint64_t kRequeueBackoffCap = 1024;
+static_assert(kExploitMinProb >= 0.0 && kExploitMinProb <= 1.0);
+static_assert(kRequeueBackoffBase >= 1 &&
+              kRequeueBackoffCap >= kRequeueBackoffBase);
+
 std::uint64_t entry_key(int i, int j, std::size_t n) {
   auto lo = mac::checked_cast<std::uint64_t>(std::min(i, j));
   auto hi = mac::checked_cast<std::uint64_t>(std::max(i, j));
@@ -38,12 +49,6 @@ MeasurementScheduler::MeasurementScheduler(const MetroContext& ctx,
   MAC_REQUIRE(cfg.epsilon >= 0.0 && cfg.epsilon <= 1.0,
               "epsilon=", cfg.epsilon);
   MAC_REQUIRE(cfg.row_fail_limit > 0, "row_fail_limit=", cfg.row_fail_limit);
-  MAC_REQUIRE(cfg.requeue_backoff_base >= 1 &&
-                  cfg.requeue_backoff_cap >= cfg.requeue_backoff_base,
-              "requeue_backoff_base=", cfg.requeue_backoff_base,
-              " cap=", cfg.requeue_backoff_cap);
-  MAC_REQUIRE(cfg.exploit_min_prob >= 0.0 && cfg.exploit_min_prob <= 1.0,
-              "exploit_min_prob=", cfg.exploit_min_prob);
   if (cfg_.policy == SelectionPolicy::kOnlyExploit) cfg_.epsilon = 0.0;
   if (cfg_.policy == SelectionPolicy::kOnlyExplore) cfg_.epsilon = 1.0;
   if (cfg_.policy == SelectionPolicy::kIxpMapped) {
@@ -97,8 +102,8 @@ std::size_t MeasurementScheduler::fill_rows_to(int target, std::size_t budget) {
   // each of which may fail over a bounded number of times (the batch that
   // crosses the budget line is not truncated mid-flight).
   MAC_ENSURE(issued < budget + mac::checked_cast<std::size_t>(cfg_.batch_size) *
-                                   mac::checked_cast<std::size_t>(std::max(
-                                       1, ms_->resilience().max_attempts)),
+                                   mac::checked_cast<std::size_t>(
+                                       kMaxProbeAttempts),
              "issued=", issued, " budget=", budget,
              " batch_size=", cfg_.batch_size);
   return issued;
@@ -223,7 +228,7 @@ MeasurementScheduler::Pick MeasurementScheduler::pick_exploit(
   // Unfilled entry in that row with the highest P, skipping entries waiting
   // out an infrastructure backoff.
   int best_j = -1;
-  double best_p = cfg_.exploit_min_prob;
+  double best_p = kExploitMinProb;
   bool skipped_backoff = false;
   for (std::size_t j = 0; j < n; ++j) {
     if (mac::checked_cast<int>(j) == best_row) continue;
@@ -360,7 +365,10 @@ std::size_t MeasurementScheduler::execute(const Pick& pick) {
   history_.push_back(rec);
 
   // The report owns the accounting; the registry counters mirror it.
-  const bool requeue = out.infra_failure && cfg_.resilient;
+  // With resilience on, an infrastructure failure requeues the entry and
+  // never counts toward fail_streak / give-up; with it off (the ablation)
+  // it is treated like an uninformative result.
+  const bool requeue = out.infra_failure && ms_->resilience().enabled;
   const auto launched = mac::checked_cast<std::size_t>(out.launched);
   const auto faulted = mac::checked_cast<std::size_t>(out.faulted);
   const auto retries =
@@ -385,11 +393,8 @@ std::size_t MeasurementScheduler::execute(const Pick& pick) {
     Backoff& b = requeued_[key];
     int doublings = std::min(b.fails, 7);
     ++b.fails;
-    b.retry_at = sched_tick_ +
-                 std::min<std::uint64_t>(
-                     mac::checked_cast<std::uint64_t>(cfg_.requeue_backoff_base)
-                         << doublings,
-                     mac::checked_cast<std::uint64_t>(cfg_.requeue_backoff_cap));
+    b.retry_at = sched_tick_ + std::min(kRequeueBackoffBase << doublings,
+                                        kRequeueBackoffCap);
     return spent;
   }
   requeued_[key] = {};

@@ -28,17 +28,9 @@ enum class SelectionPolicy {
 struct SchedulerConfig {
   double epsilon = 0.1;            // exploration fraction
   int batch_size = 300;
-  double exploit_min_prob = 0.1;   // rows need some P_ij above this
   int row_fail_limit = 6;          // successive uninformative tries per row
   SelectionPolicy policy = SelectionPolicy::kMetascritic;
   std::uint64_t seed = 11;
-  /// Infrastructure failures requeue the entry with exponential backoff and
-  /// never count toward fail_streak / give-up.  When false they are treated
-  /// like uninformative results (the pre-resilience behaviour, kept for the
-  /// e8 ablation).
-  bool resilient = true;
-  int requeue_backoff_base = 8;    // scheduler ticks (pick slots)
-  int requeue_backoff_cap = 1024;
 };
 
 /// One issued targeted measurement, kept for the Fig.-4 calibration study.

@@ -23,7 +23,8 @@ struct WorldConfig {
   /// inert profile: a perfectly reliable plane, bit-identical to builds
   /// without fault injection.
   traceroute::FaultProfile faults;
-  /// Failover / backoff / quarantine policy of the measurement plane.
+  /// The measurement plane's resilience switch (failover, quarantine,
+  /// backoff and the scheduler's requeue).
   core::ResilienceConfig resilience;
   std::size_t public_archive_traces = 25000;
   bool compute_public_view = true;

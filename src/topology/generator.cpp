@@ -13,6 +13,14 @@ namespace {
 
 using util::Rng;
 
+// Latent-model noise and thresholds.
+constexpr double kLinkNoise = 0.08;  // stddev of the per-pair score noise
+constexpr double kGlobalPeerThreshold = 1.55;
+constexpr double kFeatureNoise = 0.30;  // noise deriving features from latents
+constexpr double kPolicyKnownProb = 0.88;
+// Link probability between two route-server users of one IXP.
+constexpr double kIxpRsMeshProb = 0.95;
+
 // The generator works in int ids end to end (metro ids, AS ids, config
 // counts); every container subscript and size crosses to std::size_t
 // through the checked boundary.
@@ -197,17 +205,17 @@ Internet generate_internet(const GeneratorConfig& cfg) {
       node.latent_bias = p.bias + rng.normal(0.0, 0.30);
 
       // Observable features derived (noisily) from latent state.
-      double pol = node.latent_bias + rng.normal(0.0, cfg.feature_noise);
+      double pol = node.latent_bias + rng.normal(0.0, kFeatureNoise);
       if (pol > 0.35) node.features.policy = PeeringPolicy::kOpen;
       else if (pol > -0.15) node.features.policy = PeeringPolicy::kSelective;
       else if (pol > -0.60) node.features.policy = PeeringPolicy::kRestrictive;
       else node.features.policy = PeeringPolicy::kNone;
-      node.features.policy_known = rng.bernoulli(cfg.policy_known_prob);
+      node.features.policy_known = rng.bernoulli(kPolicyKnownProb);
       if (!node.features.policy_known)
         node.features.policy = PeeringPolicy::kNone;
 
       double tdir = node.latent[uz(kContentDim)] - node.latent[uz(kEyeballDim)] +
-                    rng.normal(0.0, cfg.feature_noise);
+                    rng.normal(0.0, kFeatureNoise);
       if (tdir > 0.55) node.features.traffic = TrafficProfile::kHeavyOutbound;
       else if (tdir > 0.20) node.features.traffic = TrafficProfile::kMostlyOutbound;
       else if (tdir > -0.20) node.features.traffic = TrafficProfile::kBalanced;
@@ -390,7 +398,7 @@ Internet generate_internet(const GeneratorConfig& cfg) {
       const AsNode& a = net.ases[uz(i)];
       const AsNode& b = net.ases[uz(j)];
       double s = pair_score(a, b, cfg.num_continents) +
-                 rng.normal(0.0, cfg.link_noise);
+                 rng.normal(0.0, kLinkNoise);
       // Policy penalties use the *true* latent appetite bucket, not the
       // (possibly hidden) reported policy.
       auto bucket = [](double bias) {
@@ -399,7 +407,7 @@ Internet generate_internet(const GeneratorConfig& cfg) {
         if (bias > -0.60) return PeeringPolicy::kRestrictive;
         return PeeringPolicy::kNone;
       };
-      double threshold = cfg.global_peer_threshold +
+      double threshold = kGlobalPeerThreshold +
                          policy_penalty(bucket(a.latent_bias)) +
                          policy_penalty(bucket(b.latent_bias));
       if (s <= threshold) continue;
@@ -439,7 +447,7 @@ Internet generate_internet(const GeneratorConfig& cfg) {
     }
     for (std::size_t i = 0; i < ixp.route_server_users.size(); ++i)
       for (std::size_t j = i + 1; j < ixp.route_server_users.size(); ++j)
-        if (rng.bernoulli(cfg.ixp_rs_mesh_prob))
+        if (rng.bernoulli(kIxpRsMeshProb))
           add_link_metro(ixp.route_server_users[i], ixp.route_server_users[j],
                          mac::checked_cast<MetroId>(m));
     net.metros[uz(m)].ixps.push_back(ixp.id);

@@ -13,6 +13,11 @@ using topology::AsId;
 using topology::GeoScope;
 using topology::MetroId;
 
+namespace {
+// P(an inconsistent-routing AS sends the packet through a random link metro).
+constexpr double kInconsistentDivertProb = 0.45;
+}  // namespace
+
 TracerouteEngine::TracerouteEngine(const topology::Internet& net,
                                    TracerouteConfig cfg)
     : net_(&net),
@@ -28,7 +33,7 @@ MetroId TracerouteEngine::choose_link_metro(const topology::LinkInfo& link,
     throw std::logic_error("choose_link_metro: link without metros");
   const topology::AsNode& from_node = net_->ases[mac::checked_cast<std::size_t>(from)];
   if (!from_node.consistent_routing &&
-      rng.bernoulli(cfg_.inconsistent_divert_prob)) {
+      rng.bernoulli(kInconsistentDivertProb)) {
     // Inconsistent AS: intradomain policy steers through an arbitrary
     // interconnection (load balancing / cost, §3.4).
     return rng.pick(metros);

@@ -49,7 +49,6 @@ struct TraceResult {
 
 struct TracerouteConfig {
   double geoloc_accuracy = 0.92;        // P(observed ingress == true ingress)
-  double inconsistent_divert_prob = 0.45;  // P(inconsistent AS picks random metro)
 };
 
 /// Runs simulated traceroutes; owns the ground-truth routing engine.

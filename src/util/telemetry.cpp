@@ -337,26 +337,30 @@ std::vector<int> span_children(const std::vector<Registry::SpanSnapshot>& nodes,
 
 }  // namespace
 
-void Registry::write_json(std::ostream& os) const {
-  // Take consistent snapshots up front; the export itself runs unlocked.
-  std::vector<std::pair<std::string, std::uint64_t>> counters;
-  std::vector<std::pair<std::string, double>> gauges;
-  std::vector<std::pair<std::string, const Histogram*>> histos;
+Registry::MetricSnapshot Registry::snapshot_metrics() const {
+  MetricSnapshot s;
   {
     LockGuard lock(mu_);
     for (const auto& [name, c] : counter_index_)
-      counters.emplace_back(name, c->value());
+      s.counters.emplace_back(name, c->value());
     for (const auto& [name, g] : gauge_index_)
-      gauges.emplace_back(name, g->value());
-    for (const auto& [name, h] : histogram_index_) histos.emplace_back(name, h);
+      s.gauges.emplace_back(name, g->value());
+    for (const auto& [name, h] : histogram_index_)
+      s.histograms.emplace_back(name, h);
   }
   // Name-sorted export order is a structural guarantee here, not an
   // accident of the index container: swapping the indexes for unordered
   // maps must never change the snapshot bytes (the artifacts are diffed).
-  std::sort(counters.begin(), counters.end());
-  std::sort(gauges.begin(), gauges.end());
-  std::sort(histos.begin(), histos.end(),
+  std::sort(s.counters.begin(), s.counters.end());
+  std::sort(s.gauges.begin(), s.gauges.end());
+  std::sort(s.histograms.begin(), s.histograms.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
+  return s;
+}
+
+void Registry::write_json(std::ostream& os) const {
+  // Take consistent snapshots up front; the export itself runs unlocked.
+  const auto [counters, gauges, histos] = snapshot_metrics();
   auto spans_flat = spans();
   std::vector<std::vector<int>> children;
   auto roots = span_children(spans_flat, children);
@@ -400,22 +404,7 @@ void Registry::write_json(std::ostream& os) const {
 }
 
 void Registry::write_csv(std::ostream& os) const {
-  std::vector<std::pair<std::string, std::uint64_t>> counters;
-  std::vector<std::pair<std::string, double>> gauges;
-  std::vector<std::pair<std::string, const Histogram*>> histos;
-  {
-    LockGuard lock(mu_);
-    for (const auto& [name, c] : counter_index_)
-      counters.emplace_back(name, c->value());
-    for (const auto& [name, g] : gauge_index_)
-      gauges.emplace_back(name, g->value());
-    for (const auto& [name, h] : histogram_index_) histos.emplace_back(name, h);
-  }
-  // Same structural name-sort guarantee as write_json.
-  std::sort(counters.begin(), counters.end());
-  std::sort(gauges.begin(), gauges.end());
-  std::sort(histos.begin(), histos.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
+  const auto [counters, gauges, histos] = snapshot_metrics();
   os << "kind,name,field,value\n";
   for (const auto& [name, v] : counters)
     os << "counter," << name << ",value," << v << "\n";

@@ -193,6 +193,15 @@ class Registry {
   void reset_values_for_tests() MAC_EXCLUDES(mu_);
 
  private:
+  /// Counter and gauge values and histogram handles, copied under the lock
+  /// and sorted by name; the exporters render it unlocked.
+  struct MetricSnapshot {
+    std::vector<std::pair<std::string, std::uint64_t>> counters;
+    std::vector<std::pair<std::string, double>> gauges;
+    std::vector<std::pair<std::string, const Histogram*>> histograms;
+  };
+  MetricSnapshot snapshot_metrics() const MAC_EXCLUDES(mu_);
+
   struct SpanNode {
     std::string name;
     int parent = -1;

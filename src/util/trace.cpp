@@ -104,7 +104,7 @@ Recorder& Recorder::instance() {
 void Recorder::start(std::size_t buffer_events) {
   LockGuard lock(mu_);
   buffers_.clear();
-  buffer_events_ = buffer_events == 0 ? 1 : buffer_events;
+  buffer_events_ = std::clamp<std::size_t>(buffer_events, 1, kMaxBufferEvents);
   generation_.fetch_add(1, std::memory_order_acq_rel);
   enabled_.store(true, std::memory_order_release);
 }

@@ -83,6 +83,9 @@ struct TraceEvent {
 /// Default per-thread ring capacity (events), overridable per run with the
 /// CLI's --trace-buffer-events.  64Ki events * 24 bytes = 1.5 MiB/thread.
 inline constexpr std::size_t kDefaultBufferEvents = 1u << 16;
+/// Largest per-thread ring a run may ask for: 4Mi events * 24 bytes =
+/// 96 MiB/thread.  Recorder::start clamps to it; the CLI rejects more.
+inline constexpr std::size_t kMaxBufferEvents = 1u << 22;
 
 /// One thread's ring.  Only the owning thread writes; other threads may
 /// read a consistent prefix after acquiring `written()` at a quiescent
@@ -124,8 +127,9 @@ class Recorder {
 
   static Recorder& instance();
 
-  /// Arms the recorder with `buffer_events` slots per thread.  Clears any
-  /// previously recorded events.  Must not race active recording threads.
+  /// Arms the recorder with `buffer_events` slots per thread, clamped to
+  /// [1, kMaxBufferEvents].  Clears any previously recorded events.  Must
+  /// not race active recording threads.
   void start(std::size_t buffer_events = kDefaultBufferEvents)
       MAC_EXCLUDES(mu_);
   /// Disarms recording; recorded events stay drainable for export.

@@ -267,13 +267,13 @@ ReferenceFit reference_fit(std::size_t n, const FeatureMatrix& features,
     for (const RatingEntry& e : observed)
       (e.value > 0.0 ? pos_w : neg_w) += std::fabs(e.value);
     if (neg_w > 0.0 && pos_w > 0.0)
-      neg_boost = std::min(cfg.balance_cap, std::max(1.0, pos_w / neg_w));
+      neg_boost = std::min(kAlsBalanceCap, std::max(1.0, pos_w / neg_w));
   }
   for (const RatingEntry& e : observed) {
     double w = 1.0;
     double target = e.value;
     if (cfg.confidence_weighting) {
-      w = std::max(cfg.confidence_floor, std::fabs(e.value));
+      w = std::max(kAlsConfidenceFloor, std::fabs(e.value));
       target = e.value > 0.0 ? 1.0 : -1.0;
     }
     if (e.value < 0.0) w *= neg_boost;

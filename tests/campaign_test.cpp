@@ -1,6 +1,7 @@
 // Campaign runner tests (DESIGN.md §12), in process: a run cancelled at a
 // checkpoint and resumed into a freshly built world exports byte-identical
-// CSVs, and a checkpoint from a different campaign is refused with an error.
+// CSVs, a checkpoint from a different campaign is refused with an error,
+// and switching resilience off disables the scheduler's requeues too.
 // tests/crash_recovery_test.cpp drives the same paths through the CLI.
 #include "eval/campaign.hpp"
 
@@ -113,6 +114,25 @@ TEST_F(CampaignTest, MismatchedFingerprintIsAnError) {
   const CampaignResult r = run(cfg);
   EXPECT_NE(r.error.find("different"), std::string::npos) << r.error;
   EXPECT_TRUE(r.completed.empty());
+}
+
+TEST_F(CampaignTest, FaultsWithoutResilienceNeverRequeue) {
+  // The campaign's one resilience switch also governs the scheduler: with
+  // it off, an infrastructure failure is an uninformative result, never a
+  // requeue (DESIGN.md §7).
+  CampaignConfig cfg = config("out");
+  cfg.checkpoint_path.clear();
+  cfg.faults = traceroute::FaultProfile::flaky();
+  cfg.resilience = false;
+  const CampaignResult r = run(cfg);
+  ASSERT_TRUE(r.error.empty()) << r.error;
+  ASSERT_EQ(r.completed.size(), 4u);
+  std::size_t infra_failures = 0;
+  for (const MetroSummary& m : r.completed) {
+    EXPECT_EQ(m.degradation.requeues, 0u) << m.name;
+    infra_failures += m.degradation.infra_failures;
+  }
+  EXPECT_GT(infra_failures, 0u) << "the fault profile never hit a probe";
 }
 
 }  // namespace

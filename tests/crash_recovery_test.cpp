@@ -342,6 +342,7 @@ TEST_F(CrashRecoveryTest, MalformedNumericFlagsPrintUsageAndExit2) {
       {"--keep-checkpoints", "99999999999"},
       {"--keep-checkpoints", "0"}, {"--threshold", "0.5x"},
       {"--threshold", "2"},        {"--trace-buffer-events", "0"},
+      {"--trace-buffer-events", "18446744073709551615"},
       {"--crash-after-checkpoints", "1e3"}, {"--seed"}};
   for (const std::vector<std::string>& flag : bad) {
     fs::remove(path("cli.log"));

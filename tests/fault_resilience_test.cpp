@@ -155,7 +155,6 @@ TEST(FaultResilienceTest, ResilienceRecoversRowFill) {
     core::SchedulerConfig sc;
     sc.seed = 9;
     sc.batch_size = 80;
-    sc.resilient = resilient;
     core::MeasurementScheduler sched(ctx, *w.ms, pm, sc);
     std::size_t issued = sched.fill_rows_to(target, budget);
     EXPECT_EQ(issued, history_spend(sched));

@@ -60,7 +60,8 @@ TEST(RankEstimator, StaticModeFindsPlantedRankBallpark) {
   // adopted).
   double best = 1e30;
   for (auto [r, m] : res.history) best = std::min(best, m);
-  EXPECT_LE(res.best_mse, best * (1.0 + cfg.rel_improvement) + cfg.min_improvement);
+  EXPECT_LE(res.best_mse,
+            best * (1.0 + kRankRelImprovement) + kRankMinImprovement);
 }
 
 TEST(RankEstimator, HigherPlantedRankGivesHigherEstimate) {

@@ -25,8 +25,9 @@
 //
 // Tracing (DESIGN.md §13): --trace PATH arms the flight recorder and writes
 // a Chrome trace-event / Perfetto JSON timeline at the end of the run;
-// --trace-buffer-events N bounds each thread's ring.  While tracing is
-// armed every checkpoint also dumps the ring to <checkpoint>.trace.json.
+// --trace-buffer-events N (at most 4194304) bounds each thread's ring.
+// While tracing is armed every checkpoint also dumps the ring to
+// <checkpoint>.trace.json.
 //
 // Malformed or out-of-range flag values print usage and exit 2; a failed
 // run (unknown metro, unusable checkpoint, failed export) exits 1.
@@ -154,7 +155,9 @@ bool parse_args(int argc, char** argv, CliOptions& opt) {
     } else if (arg == "--trace") {
       ok = text(opt.trace_path);
     } else if (arg == "--trace-buffer-events") {
-      ok = parse_number(value(), std::size_t{1}, opt.trace_buffer_events);
+      ok = parse_number(value(), std::size_t{1},
+                        metas::util::trace::kMaxBufferEvents,
+                        opt.trace_buffer_events);
     } else if (arg == "--deadline-ms") {
       ok = parse_number(value(), std::uint64_t{0}, opt.deadline_ms);
     } else if (arg == "--keep-checkpoints") {
